@@ -30,6 +30,9 @@ class AudioBuffer:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise ValueError(f"audio must be single-channel, got shape {self.samples.shape}")
+        # One NaN or inf spreads through the feature FFTs into every frame.
+        if not np.isfinite(self.samples).all():
+            raise ValueError("audio contains non-finite samples (NaN or inf)")
 
     @property
     def duration(self) -> float:

@@ -1,27 +1,47 @@
 """2D Gabor filterbank for spectro-temporal modulation features.
 
-Each filter is a complex sinusoidal carrier under a separable 2D Hann
-envelope, tuned to one (spectral, temporal) modulation frequency pair.
-The bank holds only the diagonal filters: 6 temporal modulation
-frequencies (2.4 .. 25 Hz) crossed with 8 signed spectral modulation
-frequencies (+-0.03125 .. +-0.25 cycles/channel), 48 filters total.
+Each filter's kernel is a cosine carrier under a separable 2D Hann envelope,
+tuned to one (spectral, temporal) modulation frequency pair, made zero-sum
+and scaled to unit Frobenius norm (Schaedler, Meyer & Kollmeier, JASA
+131(5), 2012). The bank holds only the diagonal filters: 6 temporal
+modulation frequencies (2.4 .. 25 Hz) crossed with 8 signed spectral
+modulation frequencies (+-0.03125 .. +-0.25 cycles/channel), 48 filters.
 
-A filter's output is sampled at a per-filter subset of mel channels
-("representative channels", stride 1/(4|f_s|)); concatenated over the
-default 26-channel bank this yields exactly 600 features per frame.
+A filter's response is the same-size 2D correlation of the log-mel
+spectrogram with its kernel, aligned to the envelope peak, with the
+spectrogram edge-replicated on both axes. It is sampled at a per-filter
+subset of mel channels ("representative channels", stride 1/(4|f_s|));
+concatenated over the default 26-channel bank this yields exactly 600
+features per frame.
 
-Filter real parts have exactly zero coefficient sum, and the spectrogram
-is edge-replicated before correlation, so the features reject any
-constant offset of the log-mel spectrogram (e.g. per-utterance gain).
+The bank applies all 48 filters as one linear operator, derived once when
+the bank is built:
+
+- Time factors. cos(x + y) = cos x cos y - sin x sin y, so a kernel is
+  env_m cos_m (x) env_l cos_l - env_m sin_m (x) env_l sin_l - s env_m (x) env_l
+  (scaled by 1/norm): rank <= 3. The filters of one temporal frequency
+  share these time factors; the bank keeps an orthonormal basis of them
+  per group (18 time kernels in all) and each filter's spectral factors.
+- Mel axis. Edge replication is index clamping, so the clamp folds into
+  one weight per (time kernel, mel channel, output column): one matrix per
+  group (78 x 100 for the default bank).
+- Time axis. The spectrogram is edge-padded once at the bank's largest
+  extent and transformed with one rfft. Each group multiplies it by its
+  time-kernel spectra, transforms back, and applies its mel matrix.
+
+Kernels have exactly zero coefficient sum and the padding replicates
+edges, so the features reject any constant offset of the log-mel
+spectrogram (e.g. per-utterance gain).
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
-from scipy.signal import correlate
+from scipy.fft import next_fast_len
 
 from .frontend import LogMelSpectrogram
 
@@ -33,6 +53,10 @@ SPECTRAL_MOD_CYC = (0.03125, 0.0625, 0.125, 0.25)
 ENVELOPE_HALF_WAVES = 3.5
 MAX_TEMPORAL_EXTENT = 99
 MAX_SPECTRAL_EXTENT = 25
+
+# Singular values of a group's stacked kernels below this fraction of the
+# largest are rounding noise (exact rank is 3); their time factors are dropped.
+_RANK_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -52,19 +76,45 @@ class GaborFilterSpec:
 @dataclass(frozen=True)
 class GaborFilter:
     spec: GaborFilterSpec
-    coeffs: np.ndarray  # complex, (w_m + 2) x (w_l + 2), spectral axis first
+    coeffs: np.ndarray  # real kernel, (w_m + 2) x (w_l + 2), spectral axis first
     representative_channels: tuple
 
     @property
     def real(self) -> np.ndarray:
-        return self.coeffs.real
+        return self.coeffs
+
+
+@dataclass(frozen=True)
+class TimeKernelGroup:
+    """Filters that share one time-factor basis, as one stage of the bank's
+    operator.
+
+    ``taps`` holds the r basis kernels, peak-aligned on a common support of
+    2 * pad + 1 frames; ``mel_weights`` maps the r x n_mels time-filtered
+    channels, flattened kernel-major, to the group's output ``columns``.
+    """
+
+    columns: slice
+    taps: np.ndarray
+    mel_weights: np.ndarray
 
 
 @dataclass(frozen=True)
 class GaborFilterbank:
+    """The filters plus the linear operator that applies them all at once
+    (``pad`` frames of edge padding per side, one ``TimeKernelGroup`` per run
+    of filters with the same temporal carrier), derived on construction."""
+
     filters: tuple
     n_mels: int
     frame_rate: float
+    pad: int = field(init=False, repr=False, compare=False)
+    groups: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        pad = max(f.coeffs.shape[1] // 2 for f in self.filters)
+        object.__setattr__(self, "pad", pad)
+        object.__setattr__(self, "groups", _time_kernel_groups(self.filters, self.n_mels, pad))
 
     @property
     def feature_dim(self) -> int:
@@ -100,24 +150,25 @@ def hann_product_envelope(w_m: int, w_l: int) -> np.ndarray:
 
 
 def make_gabor_filter(spec: GaborFilterSpec, representative_channels: tuple = ()) -> GaborFilter:
-    """Build one complex Gabor filter: carrier times envelope, with the real
-    part made zero-sum and scaled to unit Frobenius norm.
+    """Build one Gabor filter: the real part of carrier times envelope, made
+    zero-sum and scaled to unit Frobenius norm.
 
     The carrier phase reference sits at the envelope peak (W+1)/2 on each
-    axis, so real parts are even around the peak.
+    axis, so kernels are even around the peak.
     """
     env = hann_product_envelope(spec.w_m, spec.w_l)
     a = np.arange(spec.w_m + 2)[:, None] - (spec.w_m + 1) / 2.0
     b = np.arange(spec.w_l + 2)[None, :] - (spec.w_l + 1) / 2.0
-    carrier = np.exp(1j * (spec.omega_m * a + spec.omega_l * b))
-    coeffs = carrier * env
+    raw = np.cos(spec.omega_m * a + spec.omega_l * b) * env
 
-    # Zero the plain coefficient sum of the real part so correlation rejects
-    # constant inputs exactly, then normalize the real part's energy.
-    real = coeffs.real - env * (coeffs.real.sum() / env.sum())
-    norm = np.linalg.norm(real)
-    coeffs = (real + 1j * coeffs.imag) / norm
-    return GaborFilter(spec, coeffs, tuple(representative_channels))
+    # Zero the plain coefficient sum so correlation rejects constant inputs
+    # exactly, then normalize the energy. Scaling by the reciprocal norm (not
+    # dividing), and adding 0.0 to turn the -0.0 products on the envelope's
+    # zero edges into +0.0, keep the exported kernels byte-identical to their
+    # pinned digests.
+    real = raw - env * (raw.sum() / env.sum())
+    kernel = real * (1.0 / np.linalg.norm(real)) + 0.0
+    return GaborFilter(spec, kernel, tuple(representative_channels))
 
 
 def _envelope_length(mod_freq: float, cap: int) -> int:
@@ -158,20 +209,29 @@ def build_diagonal_filterbank(n_mels: int = 26, frame_rate: float = 100.0) -> Ga
     return GaborFilterbank(tuple(filters), n_mels, frame_rate)
 
 
-def _alignment(w: int) -> int:
-    """Integer index of the envelope peak (floor for even-length supports)."""
-    return (w + 1) // 2
-
-
-def filter_response(values: np.ndarray, filt: GaborFilter) -> np.ndarray:
-    """Same-size 2D correlation of a T x n_mels matrix with the filter's
-    real part, output aligned to the envelope peak, edges replicated."""
-    kernel = filt.real.T  # (time, channel)
-    b_c, a_c = _alignment(filt.spec.w_l), _alignment(filt.spec.w_m)
-    pad_t = (b_c, kernel.shape[0] - 1 - b_c)
-    pad_m = (a_c, kernel.shape[1] - 1 - a_c)
-    padded = np.pad(values, (pad_t, pad_m), mode="edge")
-    return correlate(padded, kernel, mode="valid", method="auto")
+def _time_kernel_groups(filters: tuple, n_mels: int, pad: int) -> tuple:
+    """Factor each run of filters with the same temporal carrier into a
+    shared time-kernel basis and one mel matrix with the clamp folded in."""
+    groups = []
+    start = 0
+    for _, run in groupby(filters, key=lambda f: (f.spec.omega_l, f.spec.w_l)):
+        run = list(run)
+        _, sv, vt = np.linalg.svd(np.concatenate([f.coeffs for f in run]), full_matrices=False)
+        basis = vt[sv > sv[0] * _RANK_RTOL]  # r x time support, orthonormal rows
+        first = pad - (basis.shape[1] - 1) // 2
+        taps = np.zeros((len(basis), 2 * pad + 1))
+        taps[:, first : first + basis.shape[1]] = basis
+        blocks = []
+        for f in run:
+            height = f.coeffs.shape[0]
+            mel = np.array(f.representative_channels)[:, None] + np.arange(height) - (height - 1) // 2
+            clamp = np.eye(n_mels)[np.clip(mel, 0, n_mels - 1)]  # channel x spectral tap x mel
+            blocks.append(np.einsum("ar,cam->rmc", f.coeffs @ basis.T, clamp))
+        weights = np.concatenate(blocks, axis=2)
+        stop = start + weights.shape[2]
+        groups.append(TimeKernelGroup(slice(start, stop), taps, weights.reshape(-1, stop - start)))
+        start = stop
+    return tuple(groups)
 
 
 def extract_features(spec: LogMelSpectrogram, bank: GaborFilterbank) -> FeatureMatrix:
@@ -184,12 +244,19 @@ def extract_features(spec: LogMelSpectrogram, bank: GaborFilterbank) -> FeatureM
     values = spec.values if isinstance(spec, LogMelSpectrogram) else np.asarray(spec)
     if values.shape[1] != bank.n_mels:
         raise ValueError(f"spectrogram has {values.shape[1]} channels, filterbank expects {bank.n_mels}")
-    columns = []
-    for filt in bank.filters:
-        response = filter_response(values, filt)
-        columns.append(response[:, list(filt.representative_channels)])
+    n_frames, pad = values.shape[0], bank.pad
+    # Correlation through one FFT length: no wrap-around reaches the n_frames
+    # outputs as long as n_fft covers the padded input.
+    n_fft = next_fast_len(n_frames + 2 * pad, real=True)
+    spectrum = np.fft.rfft(np.pad(values, ((pad, pad), (0, 0)), mode="edge"), n_fft, axis=0)
+    out = np.empty((n_frames, bank.feature_dim))
+    for group in bank.groups:
+        kernel_spectra = np.fft.rfft(group.taps, n_fft, axis=1).conj().T
+        product = (spectrum[:, None, :] * kernel_spectra[:, :, None]).reshape(len(spectrum), -1)
+        filtered = np.fft.irfft(product, n_fft, axis=0)[:n_frames]
+        out[:, group.columns] = filtered @ group.mel_weights
     frame_rate = spec.frame_rate if isinstance(spec, LogMelSpectrogram) else bank.frame_rate
-    return FeatureMatrix(np.concatenate(columns, axis=1), frame_rate)
+    return FeatureMatrix(out, frame_rate)
 
 
 def export_filterbank(bank: GaborFilterbank, out_dir) -> None:

@@ -334,6 +334,9 @@ def model_from_bytes(blob: bytes) -> MlpModel:
     offset += 4
     manifest = json.loads(blob[offset : offset + mlen].decode("utf-8"))
     offset += mlen
+    for key in ("dims", "normalizer", "vocabulary", "grid", "frame_params"):
+        if key not in manifest:
+            raise ValueError(f"model manifest lacks required key {key!r}")
 
     dims = manifest["dims"]
     d, h, c = dims["d"], dims["h"], dims["c"]

@@ -1,12 +1,16 @@
 import json
+import struct
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
+from conftest import make_model
 from revparams.audio_io import AudioBuffer, write_wav_pcm16
 from revparams.cli import main
 from revparams.corpus import make_speech_like
 from revparams.acoustics import synth_rir
+from revparams.mlp import MAGIC, model_to_bytes, save_model
 
 
 @pytest.fixture
@@ -48,6 +52,37 @@ def test_estimate_with_missing_model_exits_2(delta_wav, capsys):
     code = main(["estimate", str(delta_wav), "--model", "/nonexistent/m.rvpm"])
     assert code == 2
     assert "error" in capsys.readouterr().err.lower()
+
+
+@pytest.fixture
+def model_600(tmp_path):
+    """A small model whose input dimension matches the default filterbank."""
+    path = tmp_path / "m600.rvpm"
+    save_model(make_model(d=600, h=3, c=2), path)
+    return path
+
+
+def test_estimate_nan_audio_exits_2(model_600, tmp_path, capsys):
+    samples = make_speech_like(0.5, seed=3).samples.astype(np.float32)
+    samples[1000] = np.nan
+    wav = tmp_path / "nan.wav"
+    wavfile.write(wav, 16000, samples)
+    assert main(["estimate", str(wav), "--model", str(model_600)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["dims", "normalizer", "vocabulary", "grid", "frame_params"])
+def test_estimate_model_missing_manifest_key_exits_2(key, delta_wav, tmp_path, capsys):
+    blob = model_to_bytes(make_model())
+    start = len(MAGIC) + 4
+    (mlen,) = struct.unpack_from("<I", blob, len(MAGIC))
+    manifest = json.loads(blob[start : start + mlen])
+    del manifest[key]
+    mjson = json.dumps(manifest).encode("utf-8")
+    path = tmp_path / "broken.rvpm"
+    path.write_bytes(MAGIC + struct.pack("<I", len(mjson)) + mjson + blob[start + mlen :])
+    assert main(["estimate", str(delta_wav), "--model", str(path)]) == 2
+    assert repr(key) in capsys.readouterr().err
 
 
 def test_train_help_exits_0(capsys):

@@ -1,5 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
+from scipy.signal import correlate
 
 from revparams.frontend import LogMelSpectrogram
 from revparams.gabor import (
@@ -41,6 +44,22 @@ def brute_force_features(values, bank):
                 response[t, m] = acc
         out_cols.append(response[:, list(filt.representative_channels)])
     return np.concatenate(out_cols, axis=1)
+
+
+def reference_features(values, bank):
+    """Per-filter reference for the bank's operator: each filter's kernel
+    correlated with its own edge-padded copy of the spectrogram, aligned to
+    the envelope peak, sampled at its representative channels."""
+    columns = []
+    for filt in bank.filters:
+        kernel = filt.real.T  # (time, channel)
+        b_c, a_c = (filt.spec.w_l + 1) // 2, (filt.spec.w_m + 1) // 2
+        pad_t = (b_c, kernel.shape[0] - 1 - b_c)
+        pad_m = (a_c, kernel.shape[1] - 1 - a_c)
+        padded = np.pad(values, (pad_t, pad_m), mode="edge")
+        response = correlate(padded, kernel, mode="valid", method="auto")
+        columns.append(response[:, list(filt.representative_channels)])
+    return np.concatenate(columns, axis=1)
 
 
 class TestEnvelope:
@@ -188,6 +207,16 @@ class TestExtractFeatures:
         fshift = extract_features(spectro(a + 7.0), BANK).values
         assert np.abs(fshift - fa).max() / 7.0 < 1e-6
 
+    @pytest.mark.parametrize("n_mels", [8, 10, 26])
+    def test_matches_per_filter_reference(self, n_mels, rng):
+        # frame counts below, at and above the longest kernel's half-extents
+        # (36 / 37 frames), so the time-axis clamp is hit at both ends
+        bank = build_diagonal_filterbank(n_mels=n_mels)
+        for n_frames in (1, 2, 36, 37, 38, 74, 248, 998):
+            values = 10.0 * rng.standard_normal((n_frames, n_mels)) - 20.0
+            fast = extract_features(spectro(values), bank).values
+            np.testing.assert_allclose(fast, reference_features(values, bank), rtol=0, atol=1e-9)
+
     def test_channel_mismatch_raises(self):
         with pytest.raises(ValueError, match="channels"):
             extract_features(spectro(np.zeros((5, 20))), BANK)
@@ -206,3 +235,63 @@ def test_export_filterbank(tmp_path):
     assert int(index) == 0
     assert float(f_t) == 2.4
     assert [int(c) for c in chans.split(",")] == list(BANK.filters[0].representative_channels)
+
+
+# sha256 of every file `export_filterbank` writes for the default bank.
+EXPORT_SHA256 = {
+    "filter_00.txt": "091360a0a3f9474ba8e6b631302ceafc932aae63c1f8473b49a5864b1dfd06ae",
+    "filter_01.txt": "d10ad1cbd99d9ceea250ec7745e7ad7a510a495084fa1f6f81a638bb191e652e",
+    "filter_02.txt": "5a6115d541968b93598bb26c3e9d51645d316c3eb9f1e703fbfa358ba79c8ee2",
+    "filter_03.txt": "17df0e9fbc96cd30dcd67845863ad306595f2a21cb295b71ea3e2d29c906d6a0",
+    "filter_04.txt": "e33977a4630461d994d975577a642a73e153cec7e04a2519e97f0e158a4c67e3",
+    "filter_05.txt": "0cdaa2821315020f3d3d2367ffbb83284b4d3854ae1ac22bd6156b73ff7ce466",
+    "filter_06.txt": "98fc0916600a3d26421ef49650b13f8f827ae5787e94c7867b5bd92e0f801489",
+    "filter_07.txt": "d3f119b089527065104fe89b99ed8a401a903030b529356aa271930098628039",
+    "filter_08.txt": "e3f85ae69e589bf8e5dc4bf94185e029dde923e36deacb831ae03540e38ccb48",
+    "filter_09.txt": "791120c3c3fc94c748debc7050d8f39fcc9a60dbc61a5e2410ef61f5164e916f",
+    "filter_10.txt": "3957f123cc3d6f42663bc8ffd9878eda3dda7374f3391960d1f6016beba15eab",
+    "filter_11.txt": "38933c63ad292e9d59475020f4861d8699dc7f23d03ec54e26077123377639f1",
+    "filter_12.txt": "36548f4e2722cec9b475223afb33c6793785503bc85838d6d1e77f24522e8f68",
+    "filter_13.txt": "871f5f6275a3cf175bdc60d150546676f7225d1c03031af369ec254488b84cf0",
+    "filter_14.txt": "d73a6fe008fd7f302465680d1cec7c1af414d2d28d0e4d3f725bc210b3956fbf",
+    "filter_15.txt": "f0e06362e2afec2171fa02e19143e00f08cba0636e0d2cedb6aa3a6747a1b674",
+    "filter_16.txt": "5267b7f16465103121a19b66de36e084994a019becdc4e4de6b43811580d5307",
+    "filter_17.txt": "48c4f73b6f5232a8323ad0475439b53b8974903895ce037e969f9aabb5ae4a06",
+    "filter_18.txt": "5d6665982942a66240cee45c4d15d52e6b137967d4377c666afed408cfc8d79c",
+    "filter_19.txt": "2a67eed2d9ae998c31dfb1ee26b215d64fcfce1be1f6c8760a8541021f536374",
+    "filter_20.txt": "aabad98ec7a5ce473445f4e3f648a4e0f2693f111c9d14b72dae3a950340558a",
+    "filter_21.txt": "33a81a9242c4ce55be2de645236e0ca5f8dd044c1940be78d7c4b378f470ad23",
+    "filter_22.txt": "23b96ed9050e94f0c7a41315d942e27d58d31fecb3572bd6b6e462e8971fa3c2",
+    "filter_23.txt": "df6168bb939c3c833d54d10148c29b1dc6f3b8535f63a502c043479077bb14f8",
+    "filter_24.txt": "833cdccbc7f796391c6fe16dd888fc664e5ff5c0e8f926ae7bf2eba27cf56c1d",
+    "filter_25.txt": "b9a7e4a143ff8ae464c02731209acf79dba15d2381bf884600b5ff0ff11a24d4",
+    "filter_26.txt": "dfb701919c20a992f3042a9e555106c5ea1df4a3d2102cb46f2ab326a3ea3e75",
+    "filter_27.txt": "f650cf4fe1f31554a70b4153518587dbcaf7023bdcc4d8f34e547d6862c0e571",
+    "filter_28.txt": "1ae582c35bb6953742b54c00fd63d5bb5ad245f35d12459541d2b997e4ff8d0f",
+    "filter_29.txt": "3ab78d031ab899cc7ca7485b80d1315015b63c371b70c04867cc6006b1a54cb0",
+    "filter_30.txt": "c6053a7edbbb687cd29b3d40a54fd8d5eb99a51bbfdc7d04a16c8189da378353",
+    "filter_31.txt": "1487c8914b1fdad9a5f7bc1d1c2a083296d1bf31d2ec026e074ff9e42c6f5772",
+    "filter_32.txt": "90cfb032c2a07af81bbf5f0243ffab357980f003e9b693b55ad07fa71aace721",
+    "filter_33.txt": "04fafee6b797b6f9d9ce8cdea16937079e7df4f0df4431c8b47f7dec815e2c4b",
+    "filter_34.txt": "b3056ae1ef32260b5bb0cef71f55944cc190c9a60e7f952c88623d7e79d55bb9",
+    "filter_35.txt": "9db81fd9f2170746ad7ee230b38daf1ae3b8ad309fd2fd0367040ee7f30f242d",
+    "filter_36.txt": "d54fb7ceacfe7c592cebff62dac40a34b883bf87fc4df27952d577fe6b683453",
+    "filter_37.txt": "1c2b257f5cc7b01c3fa0a560680a58b3cd72e9caf73e04b111dc656af8ca794e",
+    "filter_38.txt": "dfdf1e12df9a3a17ce8552e2ff8932688a76b135456bafde138a1433bc1bfeff",
+    "filter_39.txt": "084bb9e468bfdc80c2af3b0b3e06dc661d0d812adde8639c80e6a495b615a30e",
+    "filter_40.txt": "cb14daf61a91ae3e5c8671559c861c2a49a20aad5828ae83d978ab724312b354",
+    "filter_41.txt": "4abded70baeca576181520ab614c380fa733a244d43170bad6014cb148cec059",
+    "filter_42.txt": "7d0aa25309ceda9ade4047829b1b4ada584dcd1b989dd2ae140f6cac7a409391",
+    "filter_43.txt": "a403f38ad8ec05a6e73d7321bc4ffe5ccdcf978262c219ce82a2e9b85adca4f9",
+    "filter_44.txt": "ed1f736f73ae92465164a0360c1f0d1ba7b95062f5f2bfab7f57e0bae445fc1e",
+    "filter_45.txt": "dc6d0f40604883ba072f73a97b7f3ae5c93ce2d9add407952f2e06fa2f61692e",
+    "filter_46.txt": "e3caf9e17344b3d5da65259754c3a09bc907068a4e826ed5f5d4e4e45b2b8a01",
+    "filter_47.txt": "5b0abfbf0f9ed7f961a8528ff8a4cbfa8a724d6f26222e87f9b6dc8301fdf918",
+    "manifest.txt": "0cab8e75f476e437be1f9ea1c29edf520b33b07c4dab1d482306ff2a3fda552a",
+}
+
+
+def test_export_filterbank_bytes_are_pinned(tmp_path):
+    export_filterbank(BANK, tmp_path)
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert written == EXPORT_SHA256
