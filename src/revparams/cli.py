@@ -18,11 +18,18 @@ import numpy as np
 
 from .acoustics import Rir, compute_drr, estimate_t60_from_edc, schroeder_edc
 from .audio_io import read_wav
-from .corpus import build_corpus, read_manifest_items
-from .estimator import estimate_utterance, frame_posteriors, pipeline_for
+from .corpus import _map, build_corpus, read_manifest_items
+from .estimator import (
+    estimate_from_posteriors,
+    estimate_utterance,
+    filterbank_for,
+    frame_posteriors,
+    gabor_features,
+    pipeline_for,
+)
 from .evaluate import evaluate, measure_rtf
-from .frontend import FrameParams, log_mel_spectrogram
-from .gabor import build_diagonal_filterbank, export_filterbank, extract_features
+from .frontend import FrameParams
+from .gabor import build_diagonal_filterbank, export_filterbank
 from .grid import ClassGrid, build_vocabulary, cell_of
 from .mlp import TrainConfig, load_model, save_model, train
 
@@ -46,6 +53,13 @@ def _wav_files(directory: str) -> list:
     return files
 
 
+def _jobs(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
+
+
 def _csv_floats(text: str) -> list:
     return [float(part) for part in text.split(",") if part]
 
@@ -60,8 +74,7 @@ def cmd_filters(args) -> int:
 def cmd_features(args) -> int:
     audio = read_wav(args.input, channel=args.channel)
     params = FrameParams()
-    bank = build_diagonal_filterbank(params.n_mels, params.frame_rate())
-    feats = extract_features(log_mel_spectrogram(audio, params), bank)
+    feats = gabor_features(audio, filterbank_for(params), params)
     if args.out:
         np.savetxt(args.out, feats.values, delimiter=",")
         _log(f"wrote {feats.values.shape[0]} x {feats.values.shape[1]} features to {args.out}")
@@ -111,13 +124,9 @@ def cmd_train(args) -> int:
                 f"manifest class id {it.class_id} disagrees with grid cell (expected {expected})"
             )
     params = FrameParams()
-    bank = build_diagonal_filterbank(params.n_mels, params.frame_rate())
+    bank = filterbank_for(params)
     _log(f"extracting features for {len(items)} items")
-    dataset = []
-    for it in items:
-        audio = read_wav(it.path)
-        feats = extract_features(log_mel_spectrogram(audio, params), bank)
-        dataset.append((feats, it.class_id))
+    dataset = [(gabor_features(read_wav(it.path), bank, params), it.class_id) for it in items]
     config = TrainConfig(
         learning_rate=args.lr,
         momentum=args.momentum,
@@ -147,21 +156,13 @@ def cmd_estimate(args) -> int:
         os.makedirs(args.per_frame, exist_ok=True)
 
     def run_one(path):
-        audio = read_wav(path, channel=args.channel)
+        post = frame_posteriors(read_wav(path, channel=args.channel), model, bank, params)
         if args.per_frame:
-            post = frame_posteriors(audio, model, bank, params)
             stem = os.path.splitext(os.path.basename(path))[0]
             np.savetxt(os.path.join(args.per_frame, f"{stem}.posteriors.csv"), post, delimiter=",")
-        return estimate_utterance(audio, model, bank, params)
+        return estimate_from_posteriors(post, model)
 
-    if args.jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            estimates = list(pool.map(run_one, args.inputs))
-    else:
-        estimates = [run_one(path) for path in args.inputs]
-    for path, est in zip(args.inputs, estimates):
+    for path, est in zip(args.inputs, _map(run_one, args.inputs, args.jobs)):
         print(f"{path}\t{est.t60_hat:.3f}\t{est.drr_hat:.1f}\t{est.class_id}\t{est.n_frames}")
     return 0
 
@@ -252,7 +253,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--noise", default="ambient,babble,fan")
     p.add_argument("--snr", default="0,10,20")
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train the MLP from a corpus manifest")
@@ -271,7 +272,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--channel", type=int, default=0)
     p.add_argument("--per-frame", default=None, help="directory for per-frame posterior CSVs")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("evaluate", help="run the estimator over a manifest and summarize errors")
@@ -280,7 +281,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--stats", default=None)
     p.add_argument("--rtf", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("bench", help="measure single-threaded real-time factor")

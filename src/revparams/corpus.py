@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import os
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,6 +189,14 @@ def _render_item(utt: AudioBuffer, rir: Rir, kind: str, snr, child_seed) -> Audi
     return wet
 
 
+def _map(fn, items, jobs: int) -> list:
+    """``[fn(item) for item in items]`` in order, over ``jobs`` threads."""
+    if jobs == 1:
+        return [fn(item) for item in items]
+    with futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
+
+
 def build_corpus(
     speech,
     rirs,
@@ -237,13 +246,7 @@ def build_corpus(
         i, rir_id, kind, snr, child = task
         return _render_item(speech[i], rirs[rir_id], kind, snr, child)
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rendered = list(pool.map(render, tasks))
-    else:
-        rendered = [render(task) for task in tasks]
+    rendered = _map(render, tasks, jobs)
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

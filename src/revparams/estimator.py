@@ -14,7 +14,7 @@ import numpy as np
 
 from .audio_io import AudioBuffer
 from .frontend import FrameParams, log_mel_spectrogram
-from .gabor import GaborFilterbank, build_diagonal_filterbank, extract_features
+from .gabor import FeatureMatrix, GaborFilterbank, build_diagonal_filterbank, extract_features
 from .grid import ClassGrid, ClassVocabulary, center_of
 from .mlp import MlpModel, forward
 
@@ -47,11 +47,19 @@ def decide(mean_posterior: np.ndarray, vocabulary: ClassVocabulary, grid: ClassG
     return class_id, t60_hat, drr_hat
 
 
+def filterbank_for(params: FrameParams) -> GaborFilterbank:
+    """The Gabor filterbank matching a front end's mel channels and frame rate."""
+    return build_diagonal_filterbank(params.n_mels, params.frame_rate())
+
+
+def gabor_features(audio: AudioBuffer, bank: GaborFilterbank, params: FrameParams) -> FeatureMatrix:
+    """Audio -> log-mel spectrogram -> Gabor features, one row per frame."""
+    return extract_features(log_mel_spectrogram(audio, params), bank)
+
+
 def pipeline_for(model: MlpModel) -> tuple:
     """(filterbank, frame params) matching a model's embedded configuration."""
-    params = model.frame_params
-    bank = build_diagonal_filterbank(params.n_mels, params.frame_rate())
-    return bank, params
+    return filterbank_for(model.frame_params), model.frame_params
 
 
 def frame_posteriors(
@@ -62,11 +70,19 @@ def frame_posteriors(
     timings: dict | None = None,
 ) -> np.ndarray:
     """Per-frame class posteriors (T x C). Optionally records wall-clock
-    seconds per stage into ``timings`` as 'features_s' and 'mlp_s'."""
+    seconds per stage into ``timings`` as 'features_s' and 'mlp_s'.
+
+    Raises, in this order, for a filterbank the model was not trained on,
+    for audio below one frame ("input too short") and for all-zero audio.
+    """
+    if bank.feature_dim != model.d:
+        raise ValueError(f"filterbank feature dim {bank.feature_dim} != model input dim {model.d}")
     t0 = time.perf_counter()
-    spec = log_mel_spectrogram(audio, params)
-    feats = extract_features(spec, bank)
+    feats = gabor_features(audio, bank, params)
     t1 = time.perf_counter()
+    # Silence carries no reverberation cue, yet the MLP still picks a cell.
+    if not audio.samples.any():
+        raise ValueError("silent input: every sample is zero")
     post = forward(model, feats.values)
     t2 = time.perf_counter()
     if timings is not None:
@@ -75,11 +91,18 @@ def frame_posteriors(
     return post
 
 
+def estimate_from_posteriors(posteriors: np.ndarray, model: MlpModel) -> Estimate:
+    """Average per-frame posteriors over the utterance and pick the winning cell."""
+    mean_post = temporal_average(posteriors)
+    class_id, t60_hat, drr_hat = decide(mean_post, model.vocabulary, model.grid)
+    return Estimate(t60_hat, drr_hat, class_id, mean_post, posteriors.shape[0])
+
+
 def estimate_utterance(
     audio: AudioBuffer,
     model: MlpModel,
-    bank: GaborFilterbank | None = None,
-    params: FrameParams | None = None,
+    bank: GaborFilterbank,
+    params: FrameParams,
     timings: dict | None = None,
 ) -> Estimate:
     """Blind (T60, DRR) estimate for one utterance.
@@ -87,13 +110,4 @@ def estimate_utterance(
     Deterministic for fixed inputs; raises "input too short" for audio
     below one frame.
     """
-    if bank is None or params is None:
-        default_bank, default_params = pipeline_for(model)
-        bank = bank or default_bank
-        params = params or default_params
-    if bank.feature_dim != model.d:
-        raise ValueError(f"filterbank feature dim {bank.feature_dim} != model input dim {model.d}")
-    post = frame_posteriors(audio, model, bank, params, timings)
-    mean_post = temporal_average(post)
-    class_id, t60_hat, drr_hat = decide(mean_post, model.vocabulary, model.grid)
-    return Estimate(t60_hat, drr_hat, class_id, mean_post, post.shape[0])
+    return estimate_from_posteriors(frame_posteriors(audio, model, bank, params, timings), model)

@@ -13,12 +13,12 @@ the 10 ms frame hop.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .audio_io import read_wav
+from .corpus import _map
 from .estimator import estimate_utterance
 from .mlp import MlpModel
 
@@ -142,17 +142,21 @@ def _load_item_audio(item):
 def evaluate(items, model: MlpModel, bank, params, jobs: int = 1) -> EvalResult:
     """Run the estimator over corpus items and summarize errors by condition.
 
-    ``items`` is a CorpusManifest or a list of CorpusItems. Unreadable items
-    are excluded from the statistics and reported in ``excluded``. Use
-    jobs=1 whenever the timing figures matter.
+    ``items`` is a CorpusManifest or a list of CorpusItems. Items that cannot
+    be read or estimated (e.g. too short or silent) are excluded from the
+    statistics and reported in ``excluded``, in item order for any ``jobs``.
+    Use jobs=1 whenever the timing figures matter.
     """
     item_list = list(getattr(items, "items", items))
 
     def run_one(pair):
         idx, item = pair
-        audio = _load_item_audio(item)
         timings = {}
-        est = estimate_utterance(audio, model, bank, params, timings=timings)
+        try:
+            audio = _load_item_audio(item)
+            est = estimate_utterance(audio, model, bank, params, timings=timings)
+        except (OSError, ValueError) as exc:
+            return idx, str(exc)
         return EvalRecord(
             item_id=idx,
             t60=item.t60,
@@ -169,21 +173,9 @@ def evaluate(items, model: MlpModel, bank, params, jobs: int = 1) -> EvalResult:
             mlp_s=timings["mlp_s"],
         )
 
-    records, excluded = [], []
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [(i, pool.submit(run_one, (i, item))) for i, item in enumerate(item_list)]
-        for i, fut in futures:
-            try:
-                records.append(fut.result())
-            except (OSError, ValueError) as exc:
-                excluded.append((i, str(exc)))
-    else:
-        for i, item in enumerate(item_list):
-            try:
-                records.append(run_one((i, item)))
-            except (OSError, ValueError) as exc:
-                excluded.append((i, str(exc)))
+    results = _map(run_one, enumerate(item_list), jobs)
+    records = [r for r in results if isinstance(r, EvalRecord)]
+    excluded = [r for r in results if not isinstance(r, EvalRecord)]
 
     stats = {}
     for key in sorted({(r.noise_kind, r.snr_db) for r in records}, key=lambda k: (k[0], str(k[1]))):

@@ -241,7 +241,7 @@ def extract_features(spec: LogMelSpectrogram, bank: GaborFilterbank) -> FeatureM
     Returns one row per spectrogram frame, columns concatenated in
     filterbank order.
     """
-    values = spec.values if isinstance(spec, LogMelSpectrogram) else np.asarray(spec)
+    values = spec.values
     if values.shape[1] != bank.n_mels:
         raise ValueError(f"spectrogram has {values.shape[1]} channels, filterbank expects {bank.n_mels}")
     n_frames, pad = values.shape[0], bank.pad
@@ -255,8 +255,7 @@ def extract_features(spec: LogMelSpectrogram, bank: GaborFilterbank) -> FeatureM
         product = (spectrum[:, None, :] * kernel_spectra[:, :, None]).reshape(len(spectrum), -1)
         filtered = np.fft.irfft(product, n_fft, axis=0)[:n_frames]
         out[:, group.columns] = filtered @ group.mel_weights
-    frame_rate = spec.frame_rate if isinstance(spec, LogMelSpectrogram) else bank.frame_rate
-    return FeatureMatrix(out, frame_rate)
+    return FeatureMatrix(out, spec.frame_rate)
 
 
 def export_filterbank(bank: GaborFilterbank, out_dir) -> None:

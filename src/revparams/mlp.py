@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .frontend import FrameParams
 from .gabor import FeatureMatrix
-from .grid import ClassGrid, ClassVocabulary
+from .grid import ClassGrid, ClassVocabulary, center_of
 
 MAGIC = b"RVPM1\x00"
 
@@ -133,9 +133,7 @@ def forward(model: MlpModel, features: np.ndarray) -> np.ndarray:
 
 def cross_entropy(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> float:
     """Mean frame-level cross-entropy of a batch."""
-    post = forward(model, np.atleast_2d(features))
-    picked = post[np.arange(len(labels)), labels]
-    return float(-np.log(np.maximum(picked, 1e-300)).mean())
+    return float(_batched_metrics(model, np.atleast_2d(features), np.asarray(labels))[0])
 
 
 def gradient(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> dict:
@@ -312,7 +310,7 @@ def model_to_bytes(model: MlpModel) -> bytes:
             "fmax": fp.fmax,
             "log_floor": fp.log_floor,
         },
-        "filterbank": {"n_mels": fp.n_mels, "frame_rate": 16000 / fp.hop},
+        "filterbank": {"n_mels": fp.n_mels, "frame_rate": fp.frame_rate()},
         "normalizer": {
             "mean": model.normalizer.mean.tolist(),
             "inv_std": model.normalizer.inv_std.tolist(),
@@ -326,20 +324,43 @@ def model_to_bytes(model: MlpModel) -> bytes:
     return b"".join(parts)
 
 
+def _section(manifest: dict, key: str, names) -> dict:
+    """``manifest[key]``, checked to be an object with exactly the keys ``names``."""
+    section = manifest[key]
+    if not isinstance(section, dict):
+        raise ValueError(f"model manifest key {key!r} is not an object")
+    for name in names:
+        if name not in section:
+            raise ValueError(f"model manifest lacks required key {f'{key}.{name}'!r}")
+    for name in section:
+        if name not in names:
+            raise ValueError(f"model manifest has unknown key {f'{key}.{name}'!r}")
+    return section
+
+
 def model_from_bytes(blob: bytes) -> MlpModel:
+    """Parse a model container; any malformed or inconsistent part raises
+    ValueError naming it."""
     if blob[: len(MAGIC)] != MAGIC:
         raise ValueError("not a model container (bad magic bytes)")
-    offset = len(MAGIC)
-    (mlen,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
+    offset = len(MAGIC) + 4
+    if len(blob) < offset:
+        raise ValueError(f"model container truncated: {len(blob)} bytes < {offset}-byte header")
+    (mlen,) = struct.unpack_from("<I", blob, len(MAGIC))
+    if offset + mlen > len(blob):
+        raise ValueError(f"model container truncated: its {mlen}-byte manifest runs past the end")
     manifest = json.loads(blob[offset : offset + mlen].decode("utf-8"))
     offset += mlen
+    if not isinstance(manifest, dict):
+        raise ValueError("model manifest is not a JSON object")
     for key in ("dims", "normalizer", "vocabulary", "grid", "frame_params"):
         if key not in manifest:
             raise ValueError(f"model manifest lacks required key {key!r}")
 
-    dims = manifest["dims"]
+    dims = _section(manifest, "dims", ("d", "h", "c"))
     d, h, c = dims["d"], dims["h"], dims["c"]
+    if not all(isinstance(n, int) and n >= 1 for n in (d, h, c)):
+        raise ValueError(f"model manifest dims must be positive integers, got {dims}")
     shapes = [(h, d), (h,), (c, h), (c,)]
     arrays = []
     for shape in shapes:
@@ -350,16 +371,21 @@ def model_from_bytes(blob: bytes) -> MlpModel:
     if offset != len(blob):
         raise ValueError(f"model container has {len(blob) - offset} trailing bytes")
 
+    normalizer = _section(manifest, "normalizer", ("mean", "inv_std"))
     norm = FeatureNormalizer(
-        np.asarray(manifest["normalizer"]["mean"], dtype=np.float64),
-        np.asarray(manifest["normalizer"]["inv_std"], dtype=np.float64),
+        np.asarray(normalizer["mean"], dtype=np.float64),
+        np.asarray(normalizer["inv_std"], dtype=np.float64),
     )
+    if norm.mean.shape != (d,) or norm.inv_std.shape != (d,):
+        raise ValueError(f"normalizer shapes {norm.mean.shape}/{norm.inv_std.shape}, expected ({d},)")
     vocab = ClassVocabulary(tuple((int(a), int(b)) for a, b in manifest["vocabulary"]))
     if len(vocab) != c:
         raise ValueError("vocabulary size disagrees with output dimension")
-    grid = ClassGrid(**manifest["grid"])
-    frame_params = FrameParams(**manifest["frame_params"])
-    return MlpModel(*arrays, norm, vocab, grid, frame_params, seed=manifest.get("seed", 0))
+    grid = ClassGrid(**_section(manifest, "grid", [f.name for f in fields(ClassGrid)]))
+    for cell in vocab.cells:
+        center_of(grid, cell)  # raises for a cell outside the grid
+    fp = _section(manifest, "frame_params", [f.name for f in fields(FrameParams)])
+    return MlpModel(*arrays, norm, vocab, grid, FrameParams(**fp), seed=manifest.get("seed", 0))
 
 
 def save_model(model: MlpModel, path) -> None:

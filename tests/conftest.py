@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
+from revparams.acoustics import synth_rir
+from revparams.audio_io import write_wav_pcm16
+from revparams.corpus import make_speech_like
 from revparams.frontend import FrameParams
 from revparams.grid import ClassGrid, ClassVocabulary
 from revparams.mlp import FeatureNormalizer, MlpModel
@@ -27,3 +31,23 @@ def make_model(d=5, h=3, c=2, seed=0, normalizer=None, vocabulary=None, grid=Non
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def write_data_dirs(root):
+    """Tiny speech + RIR directories for corpus commands, under ``root``."""
+    speech_dir = root / "speech"
+    rir_dir = root / "rirs"
+    speech_dir.mkdir()
+    rir_dir.mkdir()
+    for i in range(4):
+        write_wav_pcm16(speech_dir / f"utt_{i}.wav", make_speech_like(0.5, seed=200 + i))
+    for i, (t60, drr) in enumerate([(0.25, 0.5), (0.65, 9.5)]):
+        rir = synth_rir(t60, drr, length=1.2 * t60, seed=300 + i)
+        # float32 wav keeps the analyzed ground truth intact
+        wavfile.write(rir_dir / f"rir_{i}.wav", 16000, rir.taps.samples.astype(np.float32))
+    return speech_dir, rir_dir
+
+
+@pytest.fixture
+def data_dirs(tmp_path):
+    return write_data_dirs(tmp_path)

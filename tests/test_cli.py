@@ -9,7 +9,6 @@ from conftest import make_model
 from revparams.audio_io import AudioBuffer, write_wav_pcm16
 from revparams.cli import main
 from revparams.corpus import make_speech_like
-from revparams.acoustics import synth_rir
 from revparams.mlp import MAGIC, model_to_bytes, save_model
 
 
@@ -20,24 +19,6 @@ def delta_wav(tmp_path):
     path = tmp_path / "delta.wav"
     write_wav_pcm16(path, AudioBuffer(taps))
     return path
-
-
-@pytest.fixture
-def data_dirs(tmp_path):
-    """Tiny speech + RIR directories for corpus commands."""
-    speech_dir = tmp_path / "speech"
-    rir_dir = tmp_path / "rirs"
-    speech_dir.mkdir()
-    rir_dir.mkdir()
-    for i in range(4):
-        write_wav_pcm16(speech_dir / f"utt_{i}.wav", make_speech_like(0.5, seed=200 + i))
-    for i, (t60, drr) in enumerate([(0.25, 0.5), (0.65, 9.5)]):
-        rir = synth_rir(t60, drr, length=1.2 * t60, seed=300 + i)
-        # float32 wav keeps the analyzed ground truth intact
-        from scipy.io import wavfile
-
-        wavfile.write(rir_dir / f"rir_{i}.wav", 16000, rir.taps.samples.astype(np.float32))
-    return speech_dir, rir_dir
 
 
 def test_ground_truth_on_delta_prints_sentinel(delta_wav, capsys):
@@ -71,18 +52,89 @@ def test_estimate_nan_audio_exits_2(model_600, tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["dims", "normalizer", "vocabulary", "grid", "frame_params"])
-def test_estimate_model_missing_manifest_key_exits_2(key, delta_wav, tmp_path, capsys):
-    blob = model_to_bytes(make_model())
+def test_estimate_silent_audio_exits_2(model_600, tmp_path, capsys):
+    wav = tmp_path / "silent.wav"
+    write_wav_pcm16(wav, AudioBuffer(np.zeros(32000)))
+    assert main(["estimate", str(wav), "--model", str(model_600)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "silent input" in captured.err
+
+
+def _edit_manifest(blob: bytes, edit) -> bytes:
+    """A model container whose JSON manifest went through ``edit``."""
     start = len(MAGIC) + 4
     (mlen,) = struct.unpack_from("<I", blob, len(MAGIC))
     manifest = json.loads(blob[start : start + mlen])
-    del manifest[key]
+    edit(manifest)
     mjson = json.dumps(manifest).encode("utf-8")
+    return MAGIC + struct.pack("<I", len(mjson)) + mjson + blob[start + mlen :]
+
+
+def _delete(manifest, dotted):
+    *parents, key = dotted.split(".")
+    for parent in parents:
+        manifest = manifest[parent]
+    del manifest[key]
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        "dims",
+        "normalizer",
+        "vocabulary",
+        "grid",
+        "frame_params",
+        "dims.h",
+        "normalizer.mean",
+        "grid.t60_step",
+        "frame_params.hop",
+    ],
+)
+def test_estimate_model_missing_manifest_key_exits_2(key, delta_wav, tmp_path, capsys):
     path = tmp_path / "broken.rvpm"
-    path.write_bytes(MAGIC + struct.pack("<I", len(mjson)) + mjson + blob[start + mlen :])
+    path.write_bytes(_edit_manifest(model_to_bytes(make_model()), lambda m: _delete(m, key)))
     assert main(["estimate", str(delta_wav), "--model", str(path)]) == 2
     assert repr(key) in capsys.readouterr().err
+
+
+def _set(section, key, value):
+    return lambda blob: _edit_manifest(blob, lambda m: m[section].__setitem__(key, value))
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda blob: blob[:7], "truncated"),
+        (lambda blob: blob[: len(MAGIC) + 4 + 10], "truncated"),
+        (_set("grid", "bogus", 1), "'grid.bogus'"),
+        (_set("frame_params", "bogus", 1), "'frame_params.bogus'"),
+        (_set("dims", "h", 0), "positive integers"),
+        (_set("normalizer", "mean", [0.0] * 4), "normalizer shapes"),
+        (lambda blob: _edit_manifest(blob, lambda m: m["vocabulary"][-1].__setitem__(1, 99)), "outside"),
+    ],
+    ids=["header", "manifest", "grid-key", "frame-params-key", "dims", "normalizer", "vocabulary"],
+)
+def test_estimate_malformed_model_exits_2(corrupt, message, delta_wav, tmp_path, capsys):
+    path = tmp_path / "broken.rvpm"
+    path.write_bytes(corrupt(model_to_bytes(make_model())))
+    assert main(["estimate", str(delta_wav), "--model", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["synth", "estimate", "evaluate"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_usage_error(command, jobs, capsys):
+    required = {
+        "synth": ["--speech-dir", "s", "--rir-dir", "r", "--out", "o"],
+        "estimate": ["x.wav", "--model", "m.rvpm"],
+        "evaluate": ["--manifest", "m.csv", "--model", "m.rvpm", "--out", "o.csv"],
+    }[command]
+    assert main([command, *required, "--jobs", jobs]) == 1
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_train_help_exits_0(capsys):

@@ -157,6 +157,12 @@ class TestEvaluate:
         bank, params = pipeline_for(model)
         t60, drr = center_of(GRID, VOCAB.cells[2])
         items = items_with_truth(t60, drr, n=4)
+        items.insert(1, CorpusItem("/nonexistent/missing.wav", None, 0, "ambient", 10.0, t60, drr, 2))
+        items.insert(3, CorpusItem(None, AudioBuffer(np.zeros(6400)), 0, "ambient", 10.0, t60, drr, 2))
         serial = evaluate(items, model, bank, params, jobs=1)
         parallel = evaluate(items, model, bank, params, jobs=3)
         assert [r.e_t60 for r in serial.records] == [r.e_t60 for r in parallel.records]
+        assert [r.item_id for r in serial.records] == [0, 2, 4, 5]
+        assert serial.excluded == parallel.excluded
+        assert [i for i, _ in serial.excluded] == [1, 3]
+        assert "silent input" in serial.excluded[1][1]
