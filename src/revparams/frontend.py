@@ -105,15 +105,14 @@ def hann_periodic(n: int) -> np.ndarray:
 def frame_signal(audio: AudioBuffer, params: FrameParams = FrameParams()) -> np.ndarray:
     """Slice audio into overlapping frames, discarding any trailing partial frame.
 
-    Frame i starts at sample i*hop; returns a (n_frames, frame_len) view copy.
+    Frame i starts at sample i*hop; returns a read-only (n_frames, frame_len)
+    strided view of the samples, not a copy.
     Raises ValueError("input too short") for audio below one frame.
     """
     x = audio.samples
     if len(x) < params.frame_len:
         raise ValueError(f"input too short: {len(x)} samples < one frame ({params.frame_len})")
-    n_frames = (len(x) - params.frame_len) // params.hop + 1
-    idx = np.arange(params.frame_len)[None, :] + params.hop * np.arange(n_frames)[:, None]
-    return x[idx]
+    return np.lib.stride_tricks.sliding_window_view(x, params.frame_len)[:: params.hop]
 
 
 def power_spectrum(frame: np.ndarray, params: FrameParams = FrameParams()) -> np.ndarray:

@@ -8,11 +8,15 @@ front-end parameters.
 
 Training math runs in float64; finished weights are snapped to float32
 precision so the container round-trips forward outputs bit-exactly.
+`forward` and `gradient` accept float32 frames without a float64 copy:
+the normalizer upcasts them exactly, so the math and every result stay
+float64.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, fields
 
@@ -33,7 +37,9 @@ class FeatureNormalizer:
     inv_std: np.ndarray
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.mean) * self.inv_std
+        out = np.subtract(x, self.mean, dtype=np.float64)
+        out *= self.inv_std
+        return out
 
 
 @dataclass
@@ -99,30 +105,37 @@ def fit_normalizer(feature_matrices) -> FeatureNormalizer:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function without overflow: 1/(1+e) for x >= 0 and e/(1+e)
+    below, with e = exp(min(x, -x)) (min keeps a NaN's sign)."""
+    e = np.negative(x)
+    np.minimum(x, e, out=e)
+    np.exp(e, out=e)
+    d = e + 1.0
+    np.maximum(e, x >= 0, out=e)  # the numerator: 1 where x >= 0 (e <= 1 there), else e
+    np.divide(e, d, out=e)
+    return e
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=-1, keepdims=True)
+    ex = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(ex, out=ex)
+    ex /= ex.sum(axis=-1, keepdims=True)
+    return ex
 
 
 def _forward_parts(model: MlpModel, x: np.ndarray):
     xn = model.normalizer.apply(x)
-    z1 = sigmoid(xn @ model.w1.T + model.b1)
-    post = softmax(z1 @ model.w2.T + model.b2)
-    return xn, z1, post
+    a1 = xn @ model.w1.T
+    a1 += model.b1
+    z1 = sigmoid(a1)
+    logits = z1 @ model.w2.T
+    logits += model.b2
+    return xn, z1, softmax(logits)
 
 
 def forward(model: MlpModel, features: np.ndarray) -> np.ndarray:
     """Class posteriors for one feature row (D,) or a batch (T, D)."""
-    x = np.asarray(features, dtype=np.float64)
+    x = np.asarray(features)
     single = x.ndim == 1
     x = np.atleast_2d(x)
     if x.shape[1] != model.d:
@@ -138,7 +151,7 @@ def cross_entropy(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> 
 
 def gradient(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> dict:
     """Exact gradients of mean batch cross-entropy w.r.t. all parameters."""
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    x = np.atleast_2d(np.asarray(features))
     labels = np.asarray(labels, dtype=np.intp)
     if x.shape[1] != model.d:
         raise ValueError(f"feature dimension {x.shape[1]} != model input dimension {model.d}")
@@ -146,10 +159,12 @@ def gradient(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> dict:
         raise ValueError("labels must match the batch length")
     xn, z1, post = _forward_parts(model, x)
     n = x.shape[0]
-    d_logits = post.copy()
+    d_logits = post
     d_logits[np.arange(n), labels] -= 1.0
     d_logits /= n
-    d_z1 = (d_logits @ model.w2) * z1 * (1.0 - z1)
+    d_z1 = d_logits @ model.w2
+    d_z1 *= z1
+    d_z1 *= 1.0 - z1
     return {
         "w1": d_z1.T @ xn,
         "b1": d_z1.sum(axis=0),
@@ -171,9 +186,8 @@ def _batched_metrics(model: MlpModel, x: np.ndarray, y: np.ndarray, chunk: int =
     total_nll = 0.0
     correct = 0
     for start in range(0, len(x), chunk):
-        xb = np.asarray(x[start : start + chunk], dtype=np.float64)
         yb = y[start : start + chunk]
-        post = forward(model, xb)
+        post = forward(model, x[start : start + chunk])
         picked = post[np.arange(len(yb)), yb]
         total_nll -= np.log(np.maximum(picked, 1e-300)).sum()
         correct += int((post.argmax(axis=1) == yb).sum())
@@ -254,7 +268,8 @@ def train(
             idx = perm[start : start + config.batch_size]
             grads = gradient(model, x_train[idx], y_train[idx])
             for key, g in grads.items():
-                velocity[key] = config.momentum * velocity[key] + g
+                velocity[key] *= config.momentum
+                velocity[key] += g
                 getattr(model, key)[...] -= config.learning_rate * velocity[key]
 
         train_ce, train_acc = _batched_metrics(model, x_train, y_train)
@@ -338,6 +353,23 @@ def _section(manifest: dict, key: str, names) -> dict:
     return section
 
 
+def _number(value, key: str, integer: bool):
+    """``value``, checked to be an int if ``integer``, else a finite real."""
+    ok = isinstance(value, int) or (not integer and isinstance(value, float) and math.isfinite(value))
+    if isinstance(value, bool) or not ok:
+        kind = "an integer" if integer else "a finite number"
+        raise ValueError(f"model manifest key {key!r} must be {kind}, got {value!r}")
+    return value
+
+
+def _params(manifest: dict, key: str, cls):
+    """``cls(**manifest[key])``, each field checked against its int/float annotation."""
+    section = _section(manifest, key, [f.name for f in fields(cls)])
+    for f in fields(cls):
+        _number(section[f.name], f"{key}.{f.name}", integer=f.type in (int, "int"))
+    return cls(**section)
+
+
 def model_from_bytes(blob: bytes) -> MlpModel:
     """Parse a model container; any malformed or inconsistent part raises
     ValueError naming it."""
@@ -378,14 +410,18 @@ def model_from_bytes(blob: bytes) -> MlpModel:
     )
     if norm.mean.shape != (d,) or norm.inv_std.shape != (d,):
         raise ValueError(f"normalizer shapes {norm.mean.shape}/{norm.inv_std.shape}, expected ({d},)")
-    vocab = ClassVocabulary(tuple((int(a), int(b)) for a, b in manifest["vocabulary"]))
+    cells = manifest["vocabulary"]
+    if not isinstance(cells, list) or not all(isinstance(cell, list) and len(cell) == 2 for cell in cells):
+        raise ValueError("model manifest key 'vocabulary' must be a list of [t60_bin, drr_bin] pairs")
+    vocab = ClassVocabulary(tuple(tuple(_number(i, "vocabulary", integer=True) for i in cell) for cell in cells))
     if len(vocab) != c:
         raise ValueError("vocabulary size disagrees with output dimension")
-    grid = ClassGrid(**_section(manifest, "grid", [f.name for f in fields(ClassGrid)]))
+    grid = _params(manifest, "grid", ClassGrid)
     for cell in vocab.cells:
         center_of(grid, cell)  # raises for a cell outside the grid
-    fp = _section(manifest, "frame_params", [f.name for f in fields(FrameParams)])
-    return MlpModel(*arrays, norm, vocab, grid, FrameParams(**fp), seed=manifest.get("seed", 0))
+    fp = _params(manifest, "frame_params", FrameParams)
+    seed = _number(manifest.get("seed", 0), "seed", integer=True)
+    return MlpModel(*arrays, norm, vocab, grid, fp, seed=seed)
 
 
 def save_model(model: MlpModel, path) -> None:

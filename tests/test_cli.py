@@ -113,8 +113,26 @@ def _set(section, key, value):
         (_set("dims", "h", 0), "positive integers"),
         (_set("normalizer", "mean", [0.0] * 4), "normalizer shapes"),
         (lambda blob: _edit_manifest(blob, lambda m: m["vocabulary"][-1].__setitem__(1, 99)), "outside"),
+        (_set("grid", "t60_step", "x"), "'grid.t60_step'"),
+        (_set("frame_params", "frame_len", "x"), "'frame_params.frame_len'"),
+        (_set("frame_params", "hop", 160.5), "'frame_params.hop'"),
+        (lambda blob: _edit_manifest(blob, lambda m: m["vocabulary"].__setitem__(0, 5)), "'vocabulary'"),
+        (lambda blob: _edit_manifest(blob, lambda m: m.__setitem__("seed", "x")), "'seed'"),
     ],
-    ids=["header", "manifest", "grid-key", "frame-params-key", "dims", "normalizer", "vocabulary"],
+    ids=[
+        "header",
+        "manifest",
+        "grid-key",
+        "frame-params-key",
+        "dims",
+        "normalizer",
+        "vocabulary",
+        "grid-value-type",
+        "frame-params-value-type",
+        "frame-params-float-hop",
+        "vocabulary-entry-type",
+        "seed-type",
+    ],
 )
 def test_estimate_malformed_model_exits_2(corrupt, message, delta_wav, tmp_path, capsys):
     path = tmp_path / "broken.rvpm"

@@ -20,6 +20,13 @@ def tone(freq, duration=1.0, amplitude=0.5, sr=16000):
     return AudioBuffer(amplitude * np.sin(2 * np.pi * freq * t), sr)
 
 
+def reference_frame_signal(x, params):
+    """Index-gather framing that ``frame_signal``'s strided view replaces."""
+    n_frames = (len(x) - params.frame_len) // params.hop + 1
+    idx = np.arange(params.frame_len)[None, :] + params.hop * np.arange(n_frames)[:, None]
+    return x[idx]
+
+
 class TestFraming:
     def test_one_second_gives_98_frames(self):
         frames = frame_signal(AudioBuffer(np.zeros(16000)), PARAMS)
@@ -43,6 +50,21 @@ class TestFraming:
         params = FrameParams(frame_len=frame_len, hop=hop)
         frames = frame_signal(AudioBuffer(np.zeros(n)), params)
         assert frames.shape[0] == (n - frame_len) // hop + 1
+
+    @pytest.mark.parametrize("n,frame_len,hop", [(16000, 400, 160), (777, 400, 160), (1234, 512, 128), (400, 400, 400), (5000, 400, 1)])
+    def test_matches_index_gather_reference(self, n, frame_len, hop):
+        params = FrameParams(frame_len=frame_len, hop=hop)
+        x = np.random.default_rng(n).standard_normal(n)
+        frames = frame_signal(AudioBuffer(x), params)
+        assert np.array_equal(frames, reference_frame_signal(x, params))
+        assert not frames.flags.writeable
+
+    def test_log_mel_matches_gathered_frames(self):
+        audio = AudioBuffer(0.1 * np.random.default_rng(4).standard_normal(32000))
+        frames = reference_frame_signal(audio.samples, PARAMS) * hann_periodic(400)[None, :]
+        power = np.abs(np.fft.rfft(frames, n=512, axis=1)) ** 2
+        expected = np.log(np.maximum(power @ mel_filterbank(PARAMS).T, PARAMS.log_floor))
+        assert np.array_equal(log_mel_spectrogram(audio, PARAMS).values, expected)
 
 
 class TestPowerSpectrum:

@@ -5,13 +5,16 @@ from conftest import make_model
 from revparams.frontend import FrameParams
 from revparams.grid import ClassGrid, ClassVocabulary
 from revparams.mlp import (
+    FeatureNormalizer,
     TrainConfig,
     cross_entropy,
     fit_normalizer,
     forward,
+    glorot_init,
     gradient,
     model_from_bytes,
     model_to_bytes,
+    sigmoid,
     softmax,
     train,
 )
@@ -39,6 +42,150 @@ def lda_accuracy(a, b):
     threshold = 0.5 * (mu_a + mu_b) @ w
     correct = int((a @ w > threshold).sum()) + int((b @ w <= threshold).sum())
     return correct / (len(a) + len(b))
+
+
+def reference_sigmoid(x):
+    """Masked logistic function that ``sigmoid`` replaces: each side of zero
+    gathered, computed and scattered back separately."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def reference_softmax(logits):
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    ex = np.exp(shifted)
+    return ex / ex.sum(axis=-1, keepdims=True)
+
+
+def reference_forward_parts(model, x):
+    """Forward pass that ``_forward_parts`` replaces, on a float64 copy."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    xn = (x - model.normalizer.mean) * model.normalizer.inv_std
+    z1 = reference_sigmoid(xn @ model.w1.T + model.b1)
+    post = reference_softmax(z1 @ model.w2.T + model.b2)
+    return xn, z1, post
+
+
+def reference_gradient(model, x, labels):
+    xn, z1, post = reference_forward_parts(model, x)
+    n = xn.shape[0]
+    d_logits = post.copy()
+    d_logits[np.arange(n), labels] -= 1.0
+    d_logits /= n
+    d_z1 = (d_logits @ model.w2) * z1 * (1.0 - z1)
+    return {"w1": d_z1.T @ xn, "b1": d_z1.sum(axis=0), "w2": d_logits.T @ z1, "b2": d_logits.sum(axis=0)}
+
+
+def reference_metrics(model, x, y):
+    post = reference_forward_parts(model, x)[2]
+    nll = -np.log(np.maximum(post[np.arange(len(y)), y], 1e-300)).sum()
+    return nll / len(x), int((post.argmax(axis=1) == y).sum()) / len(x)
+
+
+def reference_train(dataset, config, n_classes):
+    """The training loop ``train`` replaces: the same split, init and batch
+    order, with out-of-place momentum updates and the reference gradient."""
+    mats = [np.asarray(f, dtype=np.float32) for f, _ in dataset]
+    labels = [c for _, c in dataset]
+    rng = np.random.default_rng(config.seed)
+    order = rng.permutation(len(mats))
+    n_val = min(int(round(config.validation_fraction * len(mats))), len(mats) - 1)
+
+    def stack(indices):
+        return (
+            np.concatenate([mats[i] for i in indices]),
+            np.concatenate([np.full(len(mats[i]), labels[i]) for i in indices]),
+        )
+
+    (x_train, y_train), (x_val, y_val) = stack(order[n_val:]), stack(order[:n_val])
+    frames = x_train.astype(np.float64)
+    norm = FeatureNormalizer(frames.mean(axis=0), 1.0 / np.maximum(frames.std(axis=0), 1e-6))
+    dim, hidden = x_train.shape[1], config.hidden_units
+    model = make_model(d=dim, h=hidden, c=n_classes, normalizer=norm)
+    model.w1, model.b1 = glorot_init(rng, hidden, dim), np.zeros(hidden)
+    model.w2, model.b2 = glorot_init(rng, n_classes, hidden), np.zeros(n_classes)
+    velocity = {k: np.zeros_like(getattr(model, k)) for k in ("w1", "b1", "w2", "b2")}
+    best, best_score, history = None, np.inf, []
+    for epoch in range(config.epochs):
+        perm = rng.permutation(len(x_train))
+        for start in range(0, len(perm), config.batch_size):
+            idx = perm[start : start + config.batch_size]
+            for key, g in reference_gradient(model, x_train[idx], y_train[idx]).items():
+                velocity[key] = config.momentum * velocity[key] + g
+                getattr(model, key)[...] -= config.learning_rate * velocity[key]
+        train_ce, train_acc = reference_metrics(model, x_train, y_train)
+        val_ce, val_acc = reference_metrics(model, x_val, y_val)
+        history.append(
+            {"epoch": epoch, "train_ce": train_ce, "train_acc": train_acc, "val_ce": val_ce, "val_acc": val_acc}
+        )
+        if val_ce < best_score:
+            best_score = val_ce
+            best = {k: getattr(model, k).astype(np.float32).astype(np.float64) for k in velocity}
+    return best, history
+
+
+def seeded_model(d=600, h=256, c=168, seed=11):
+    """Model of the estimator's size with a non-trivial normalizer and
+    weights scaled so hidden units span saturated and linear regimes."""
+    rng = np.random.default_rng(seed)
+    norm = FeatureNormalizer(rng.standard_normal(d), rng.uniform(0.5, 2.0, d))
+    model = make_model(d=d, h=h, c=c, seed=seed, normalizer=norm)
+    model.w1 *= 0.15
+    model.w2 *= 0.5
+    return model
+
+
+class TestBitExactHotPath:
+    """The lean float64 hot path against the code it replaced, tolerance 0."""
+
+    def test_sigmoid_matches_masked_reference(self, rng):
+        special = [0.0, -0.0, 745.0, -745.0, 746.0, -746.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324]
+        x = np.concatenate([30.0 * rng.standard_normal(20_000), rng.standard_normal(5_000)])
+        x[rng.choice(len(x), 40 * len(special), replace=False)] = np.repeat(special, 40)
+        with np.errstate(invalid="ignore"):
+            out = sigmoid(x)
+            ref = reference_sigmoid(x)
+            blocks = sigmoid(x.reshape(-1, 125))
+        # compared as bit patterns: also the sign of zeros and NaNs
+        assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+        assert np.array_equal(blocks.ravel().view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_forward_matches_reference(self, dtype, rng):
+        model = seeded_model()
+        x = (3.0 * rng.standard_normal((6_100, model.d))).astype(dtype)
+        assert np.array_equal(forward(model, x), reference_forward_parts(model, x)[2])
+        assert np.array_equal(forward(model, x[17]), reference_forward_parts(model, x[17])[2][0])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_gradient_matches_reference(self, dtype, rng):
+        model = seeded_model()
+        x = (3.0 * rng.standard_normal((4 * 256, model.d))).astype(dtype)
+        y = rng.integers(0, model.c, len(x))
+        for batch in range(4):
+            rows = slice(256 * batch, 256 * (batch + 1))
+            grads, ref = gradient(model, x[rows], y[rows]), reference_gradient(model, x[rows], y[rows])
+            assert grads.keys() == ref.keys()
+            for key in ref:
+                assert np.array_equal(grads[key], ref[key]), key
+
+    def test_train_matches_reference(self, rng):
+        n_classes, dim = 6, 120
+        centers = 2.0 * rng.standard_normal((n_classes, dim))
+        data = [(centers[i % n_classes] + 3.0 * rng.standard_normal((80, dim)), i % n_classes) for i in range(30)]
+        vocab = ClassVocabulary(tuple((0, j) for j in range(n_classes)))
+        # Large steps on small batches drive the loss so low that a one-ulp
+        # change in any activation shows in the history's float64 losses.
+        cfg = TrainConfig(learning_rate=1.0, batch_size=16, epochs=3, hidden_units=64, seed=5)
+        model, history = train(data, cfg, ClassGrid(), vocab)
+        best, ref_history = reference_train(data, cfg, n_classes)
+        assert history == ref_history
+        for key, value in best.items():
+            assert np.array_equal(getattr(model, key), value), key
 
 
 class TestNormalizer:
