@@ -126,7 +126,12 @@ def cmd_train(args) -> int:
     params = FrameParams()
     bank = filterbank_for(params)
     _log(f"extracting features for {len(items)} items")
-    dataset = [(gabor_features(read_wav(it.path), bank, params), it.class_id) for it in items]
+    # float32 as extracted: train rounds to float32 anyway, so no float64
+    # copy of the training set is held
+    dataset = [
+        (gabor_features(read_wav(it.path), bank, params).values.astype(np.float32), it.class_id)
+        for it in items
+    ]
     config = TrainConfig(
         learning_rate=args.lr,
         momentum=args.momentum,

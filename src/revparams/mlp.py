@@ -11,6 +11,13 @@ precision so the container round-trips forward outputs bit-exactly.
 `forward` and `gradient` accept float32 frames without a float64 copy:
 the normalizer upcasts them exactly, so the math and every result stay
 float64.
+
+Rows are processed in blocks of at most BLOCK_ROWS (1,024), so float64
+temporaries stay cache-sized whatever the input length. `forward` splits
+longer inputs into near-equal blocks; `fit_normalizer` streams its column
+sums through one (BLOCK_ROWS + 1, D) float64 buffer. `train` therefore
+holds the training set in float32 plus one float64 block, never a float64
+copy of the set. Both give the same bits as one pass over all rows.
 """
 
 from __future__ import annotations
@@ -88,19 +95,56 @@ class MlpModel:
         return self.w2.shape[0]
 
 
-def _as_frames(features) -> np.ndarray:
-    values = features.values if isinstance(features, FeatureMatrix) else np.asarray(features)
-    return np.atleast_2d(np.asarray(values, dtype=np.float64))
+BLOCK_ROWS = 1024
+
+
+def _frames(features) -> np.ndarray:
+    """The (T, D) frame rows of a FeatureMatrix or array, without a copy."""
+    return np.atleast_2d(features.values if isinstance(features, FeatureMatrix) else np.asarray(features))
+
+
+def _column_sum(mats, buf: np.ndarray, center=None) -> np.ndarray:
+    """Float64 column sums of every row of ``mats`` (squared deviations
+    from ``center`` when given), in row order.
+
+    Each block of at most BLOCK_ROWS rows goes into ``buf[1:]`` behind the
+    running sum in ``buf[0]``. A reduce over axis 0 of a C-contiguous
+    (rows, D >= 2) array adds row after row to 0.0, so reducing
+    ``buf[:k + 1]`` continues the order of one reduce over all rows.
+    """
+    buf[0] = 0.0
+    for m in mats:
+        for start in range(0, len(m), BLOCK_ROWS):
+            block = m[start : start + BLOCK_ROWS]
+            rows = buf[1 : len(block) + 1]
+            if center is None:
+                rows[...] = block
+            else:
+                np.subtract(block, center, out=rows)
+                np.square(rows, out=rows)
+            buf[0] = np.add.reduce(buf[: len(block) + 1], axis=0)
+    return buf[0].copy()
 
 
 def fit_normalizer(feature_matrices) -> FeatureNormalizer:
     """Per-dimension mean and inverse standard deviation (population
-    convention, std floored at 1e-6) over all frames of all matrices."""
-    frames = np.concatenate([_as_frames(fm) for fm in feature_matrices], axis=0)
-    if frames.shape[0] < 2:
-        raise ValueError(f"need at least 2 frames to fit a normalizer, got {frames.shape[0]}")
-    mean = frames.mean(axis=0)
-    std = frames.std(axis=0)
+    convention, std floored at 1e-6) over all frames of all matrices,
+    streamed in row blocks without a float64 copy of the data.
+
+    Bit-identical to ``mean``/``std`` over the concatenated float64 frames
+    for D >= 2. For D = 1 numpy sums that one column pairwise, so the last
+    bits may differ.
+    """
+    mats = [_frames(fm) for fm in feature_matrices]
+    n = sum(len(m) for m in mats)
+    if n < 2:
+        raise ValueError(f"need at least 2 frames to fit a normalizer, got {n}")
+    dim = mats[0].shape[1]
+    if any(m.shape[1] != dim for m in mats):
+        raise ValueError("inconsistent feature dimensions")
+    buf = np.empty((BLOCK_ROWS + 1, dim))
+    mean = _column_sum(mats, buf) / n
+    std = np.sqrt(_column_sum(mats, buf, center=mean) / n)
     return FeatureNormalizer(mean, 1.0 / np.maximum(std, _STD_FLOOR))
 
 
@@ -116,31 +160,42 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return e
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    ex = logits - logits.max(axis=-1, keepdims=True)
+def softmax(logits: np.ndarray, out=None) -> np.ndarray:
+    ex = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
     np.exp(ex, out=ex)
     ex /= ex.sum(axis=-1, keepdims=True)
     return ex
 
 
-def _forward_parts(model: MlpModel, x: np.ndarray):
+def _forward_parts(model: MlpModel, x: np.ndarray, out=None):
     xn = model.normalizer.apply(x)
     a1 = xn @ model.w1.T
     a1 += model.b1
     z1 = sigmoid(a1)
     logits = z1 @ model.w2.T
     logits += model.b2
-    return xn, z1, softmax(logits)
+    return xn, z1, softmax(logits, out=out)
 
 
 def forward(model: MlpModel, features: np.ndarray) -> np.ndarray:
-    """Class posteriors for one feature row (D,) or a batch (T, D)."""
+    """Class posteriors for one feature row (D,) or a batch (T, D).
+
+    Runs ceil(T / BLOCK_ROWS) near-equal row blocks, each written into the
+    one (T, C) result. Up to BLOCK_ROWS rows are one block. With OpenBLAS
+    on one thread a matmul row does not depend on the other rows of a
+    block of more than 100 rows, and a split block has at least 512, so
+    the result equals one pass over all rows; tests/test_mlp.py
+    (``test_forward_matches_reference``) checks that bit for bit.
+    """
     x = np.asarray(features)
     single = x.ndim == 1
     x = np.atleast_2d(x)
     if x.shape[1] != model.d:
         raise ValueError(f"feature dimension {x.shape[1]} != model input dimension {model.d}")
-    post = _forward_parts(model, x)[2]
+    post = np.empty((len(x), model.c))
+    n_blocks = max(1, -(-len(x) // BLOCK_ROWS))
+    for rows, out in zip(np.array_split(x, n_blocks), np.array_split(post, n_blocks)):
+        _forward_parts(model, rows, out=out)
     return post[0] if single else post
 
 
@@ -222,7 +277,7 @@ def train(
         class_id = int(class_id)
         if not 0 <= class_id < n_classes:
             raise ValueError(f"class id {class_id} out of range for {n_classes} classes")
-        mats.append(np.asarray(_as_frames(features), dtype=np.float32))
+        mats.append(np.asarray(_frames(features), dtype=np.float32))
         utt_labels.append(class_id)
     dim = mats[0].shape[1]
     if any(m.shape[1] != dim for m in mats):
@@ -244,7 +299,7 @@ def train(
     x_train, y_train = stack(train_idx)
     x_val, y_val = stack(val_idx)
 
-    normalizer = fit_normalizer([mats[i] for i in train_idx])
+    normalizer = fit_normalizer([x_train])
     model = MlpModel(
         w1=glorot_init(rng, config.hidden_units, dim),
         b1=np.zeros(config.hidden_units),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,13 @@ def reference_sigmoid(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def reference_fit_normalizer(mats):
+    """Normalizer fit that the streamed ``fit_normalizer`` replaces: mean
+    and std over one concatenated float64 copy of every frame."""
+    frames = np.concatenate([np.atleast_2d(np.asarray(m, dtype=np.float64)) for m in mats], axis=0)
+    return FeatureNormalizer(frames.mean(axis=0), 1.0 / np.maximum(frames.std(axis=0), 1e-6))
 
 
 def reference_softmax(logits):
@@ -156,9 +165,19 @@ class TestBitExactHotPath:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_forward_matches_reference(self, dtype, rng):
+        """``forward`` splits inputs of more than 1,024 rows into near-equal
+        blocks (1,025 rows: 513 + 512; 2,049: 3 x 683; 8,197: 7 x 911 +
+        2 x 910); the reference runs all rows at once.
+
+        Equality rests on the BLAS computing each matmul row independently
+        of the other rows once a block has more than 100 rows (a split
+        block has at least 512). This test guards that assumption for the
+        installed BLAS, at tolerance 0.
+        """
         model = seeded_model()
-        x = (3.0 * rng.standard_normal((6_100, model.d))).astype(dtype)
-        assert np.array_equal(forward(model, x), reference_forward_parts(model, x)[2])
+        for n_rows in (1_025, 2_049, 6_100, 8_197):
+            x = (3.0 * rng.standard_normal((n_rows, model.d))).astype(dtype)
+            assert np.array_equal(forward(model, x), reference_forward_parts(model, x)[2]), n_rows
         assert np.array_equal(forward(model, x[17]), reference_forward_parts(model, x[17])[2][0])
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -189,6 +208,41 @@ class TestBitExactHotPath:
 
 
 class TestNormalizer:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 600])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_streamed_matches_concatenated_reference(self, dtype, dim, rng):
+        """Matrices of 1, 1,023, 1,024, 1,025 and 3,000 rows cross the
+        1,024-row block size. For D >= 2 the bit patterns are equal,
+        including a constant column and a -0.0 column. For D = 1 numpy
+        sums the reference's one contiguous column pairwise, the streamed
+        fit row after row: tolerance 1e-13 relative."""
+        mats = [(5.0 + 3.0 * rng.standard_normal((n, dim))).astype(dtype) for n in (1, 1_023, 1_024, 1_025, 3_000)]
+        if dim > 1:
+            for m in mats:
+                m[:, 0] = 7.25
+                m[:, -1] = -0.0
+        norm, ref = fit_normalizer(mats), reference_fit_normalizer(mats)
+        if dim == 1:
+            np.testing.assert_allclose(norm.mean, ref.mean, rtol=1e-13)
+            np.testing.assert_allclose(norm.inv_std, ref.inv_std, rtol=1e-13)
+        else:
+            assert np.array_equal(norm.mean.view(np.uint64), ref.mean.view(np.uint64))
+            assert np.array_equal(norm.inv_std.view(np.uint64), ref.inv_std.view(np.uint64))
+
+    def test_allocates_less_than_a_float64_copy(self, rng):
+        frames = rng.standard_normal((20_000, 600), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            fit_normalizer([frames[:7_000], frames[7_000:]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < frames.size * 8
+
+    def test_inconsistent_dimensions_raise(self):
+        with pytest.raises(ValueError, match="dimension"):
+            fit_normalizer([np.zeros((3, 4)), np.zeros((3, 1))])
+
     def test_two_frame_example(self):
         norm = fit_normalizer([np.array([[0.0, 2.0], [2.0, 0.0]])])
         np.testing.assert_allclose(norm.mean, [1.0, 1.0])
