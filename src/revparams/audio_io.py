@@ -50,8 +50,18 @@ def read_wav(path, channel: int = 0, expect_rate: int | None = SAMPLE_RATE) -> A
     map to [-1, 1) by division by 32768. Multichannel files are reduced to
     the requested channel (default 0). Sample rates other than
     ``expect_rate`` are rejected; pass ``expect_rate=None`` to accept any.
+
+    A file that cannot be opened raises OSError; a malformed one raises
+    ValueError naming it.
     """
-    rate, data = wavfile.read(path)
+    try:
+        rate, data = wavfile.read(path)
+    except OSError:
+        raise
+    except Exception as exc:
+        # scipy's parser fails on malformed headers with whatever its
+        # arithmetic hits: struct.error, UnboundLocalError, ZeroDivisionError...
+        raise ValueError(f"{path}: not a readable WAV file ({type(exc).__name__}: {exc})") from exc
     if expect_rate is not None and rate != expect_rate:
         raise ValueError(f"{path}: sample rate {rate} Hz not supported, expected {expect_rate} Hz")
     if data.ndim == 2:

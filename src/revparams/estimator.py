@@ -94,6 +94,9 @@ def frame_posteriors(
 def estimate_from_posteriors(posteriors: np.ndarray, model: MlpModel) -> Estimate:
     """Average per-frame posteriors over the utterance and pick the winning cell."""
     mean_post = temporal_average(posteriors)
+    # argmax returns the first NaN's index: a confident-looking wrong answer.
+    if not np.isfinite(mean_post).all():
+        raise ValueError("non-finite mean posterior: the model or its input is malformed")
     class_id, t60_hat, drr_hat = decide(mean_post, model.vocabulary, model.grid)
     return Estimate(t60_hat, drr_hat, class_id, mean_post, posteriors.shape[0])
 

@@ -74,6 +74,23 @@ def mel_center_frequencies(params: FrameParams) -> np.ndarray:
     return mel_to_hz(edges[1:-1])
 
 
+BLOCK_ROWS = 1024
+
+
+def row_blocks(*arrays):
+    """Zip of matching near-equal row blocks of ``arrays``, which share a
+    row count T: one block when T <= BLOCK_ROWS, else ceil(T / BLOCK_ROWS)
+    blocks of at least BLOCK_ROWS // 2 rows each.
+
+    With OpenBLAS on one thread a matmul row does not depend on the other
+    rows of a block of more than 100 rows, so blocked matmuls give the
+    bits of one pass over all rows. A fixed BLOCK_ROWS stride would leave
+    a short last block, which can differ in the last bits.
+    """
+    n_blocks = max(1, -(-len(arrays[0]) // BLOCK_ROWS))
+    return zip(*(np.array_split(a, n_blocks) for a in arrays))
+
+
 @lru_cache(maxsize=8)
 def _mel_filterbank_cached(params: FrameParams, sample_rate: int) -> np.ndarray:
     mel_points = np.linspace(hz_to_mel(params.fmin), hz_to_mel(params.fmax), params.n_mels + 2)
@@ -128,13 +145,20 @@ def power_spectrum(frame: np.ndarray, params: FrameParams = FrameParams()) -> np
 def log_mel_spectrogram(audio: AudioBuffer, params: FrameParams = FrameParams()) -> LogMelSpectrogram:
     """Full front end: framing, Hann window, power FFT, mel filtering, natural log.
 
-    Every output entry is >= ln(log_floor).
+    Every output entry is >= ln(log_floor). Works through ``row_blocks``,
+    so the FFT and mel temporaries stay cache-sized; the bits equal one
+    pass over all frames.
     """
     if audio.sample_rate != SAMPLE_RATE:
         raise ValueError(f"pipeline expects {SAMPLE_RATE} Hz audio, got {audio.sample_rate} Hz")
     frames = frame_signal(audio, params)
-    windowed = frames * hann_periodic(params.frame_len)[None, :]
-    power = np.abs(np.fft.rfft(windowed, n=params.fft_size, axis=1)) ** 2
-    mel_energy = power @ mel_filterbank(params, audio.sample_rate).T
-    values = np.log(np.maximum(mel_energy, params.log_floor))
+    window = hann_periodic(params.frame_len)
+    bank_t = mel_filterbank(params, audio.sample_rate).T
+    values = np.empty((len(frames), params.n_mels))
+    for rows, out in row_blocks(frames, values):
+        power = np.abs(np.fft.rfft(rows * window, n=params.fft_size, axis=1))
+        np.square(power, out=power)
+        np.matmul(power, bank_t, out=out)
+        np.maximum(out, params.log_floor, out=out)
+        np.log(out, out=out)
     return LogMelSpectrogram(values, params.frame_rate(audio.sample_rate))

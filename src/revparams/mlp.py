@@ -18,18 +18,30 @@ longer inputs into near-equal blocks; `fit_normalizer` streams its column
 sums through one (BLOCK_ROWS + 1, D) float64 buffer. `train` therefore
 holds the training set in float32 plus one float64 block, never a float64
 copy of the set. Both give the same bits as one pass over all rows.
+
+`train` overlaps each epoch's metrics pass with the next epoch's SGD on
+one helper thread, but only when the loaded BLAS runs one thread and the
+process may use two or more CPUs; otherwise the pass runs inline. The
+pass reads a copy of the epoch's weights and no random state, and each
+single-threaded BLAS call gives the same bits on any thread, so the
+output bits are identical either way.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import dataclasses
 import json
 import math
+import os
 import struct
+from concurrent import futures
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .frontend import FrameParams
+from .frontend import BLOCK_ROWS, FrameParams, row_blocks
 from .gabor import FeatureMatrix
 from .grid import ClassGrid, ClassVocabulary, center_of
 
@@ -93,9 +105,6 @@ class MlpModel:
     @property
     def c(self) -> int:
         return self.w2.shape[0]
-
-
-BLOCK_ROWS = 1024
 
 
 def _frames(features) -> np.ndarray:
@@ -180,11 +189,8 @@ def _forward_parts(model: MlpModel, x: np.ndarray, out=None):
 def forward(model: MlpModel, features: np.ndarray) -> np.ndarray:
     """Class posteriors for one feature row (D,) or a batch (T, D).
 
-    Runs ceil(T / BLOCK_ROWS) near-equal row blocks, each written into the
-    one (T, C) result. Up to BLOCK_ROWS rows are one block. With OpenBLAS
-    on one thread a matmul row does not depend on the other rows of a
-    block of more than 100 rows, and a split block has at least 512, so
-    the result equals one pass over all rows; tests/test_mlp.py
+    Runs the ``row_blocks`` of the input, each written into the one
+    (T, C) result, which equals one pass over all rows; tests/test_mlp.py
     (``test_forward_matches_reference``) checks that bit for bit.
     """
     x = np.asarray(features)
@@ -193,8 +199,7 @@ def forward(model: MlpModel, features: np.ndarray) -> np.ndarray:
     if x.shape[1] != model.d:
         raise ValueError(f"feature dimension {x.shape[1]} != model input dimension {model.d}")
     post = np.empty((len(x), model.c))
-    n_blocks = max(1, -(-len(x) // BLOCK_ROWS))
-    for rows, out in zip(np.array_split(x, n_blocks), np.array_split(post, n_blocks)):
+    for rows, out in row_blocks(x, post):
         _forward_parts(model, rows, out=out)
     return post[0] if single else post
 
@@ -249,6 +254,56 @@ def _batched_metrics(model: MlpModel, x: np.ndarray, y: np.ndarray, chunk: int =
     return total_nll / len(x), correct / len(x)
 
 
+def _epoch_metrics(model: MlpModel, x_train, y_train, x_val, y_val) -> dict:
+    """One epoch's history row without its epoch number."""
+    train_ce, train_acc = _batched_metrics(model, x_train, y_train)
+    val_ce, val_acc = _batched_metrics(model, x_val, y_val) if len(x_val) else (float("nan"), float("nan"))
+    return {"train_ce": train_ce, "train_acc": train_acc, "val_ce": val_ce, "val_acc": val_acc}
+
+
+# numpy and scipy bundle OpenBLAS builds with prefixed and 64-bit-index names.
+_OPENBLAS_THREAD_GETTERS = [f"{p}get_num_threads{s}" for p in ("scipy_openblas_", "openblas_") for s in ("64_", "")]
+
+
+def _blas_threads() -> int | None:
+    """The thread count that every OpenBLAS mapped into this process reports
+    (numpy and scipy each bundle one), or None when there is none, they
+    disagree, or one cannot be asked."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh}
+        counts = set()
+        for path in (p for p in paths if "openblas" in os.path.basename(p).lower()):
+            lib = ctypes.CDLL(path)
+            getter = next((getattr(lib, name) for name in _OPENBLAS_THREAD_GETTERS if hasattr(lib, name)), None)
+            if getter is None:
+                return None
+            getter.argtypes = []
+            getter.restype = ctypes.c_int
+            counts.add(getter())
+    except OSError:
+        return None
+    return counts.pop() if len(counts) == 1 else None
+
+
+def _metrics_in_thread() -> bool:
+    """Whether ``train`` runs the metrics pass on a helper thread: only when
+    BLAS runs one thread and this process may use at least two CPUs. Two
+    callers of a multi-threaded BLAS oversubscribe the cores and run slower
+    than one."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return cpus >= 2 and _blas_threads() == 1
+
+
+def _submit(pool, fn, *args):
+    """Start ``fn(*args)`` on ``pool``, or run it now when ``pool`` is None.
+    Returns a callable that gives the result or raises ``fn``'s exception."""
+    if pool is None:
+        value = fn(*args)
+        return lambda: value
+    return pool.submit(fn, *args).result
+
+
 def train(
     dataset,
     config: TrainConfig,
@@ -264,8 +319,14 @@ def train(
     cross-entropy (training cross-entropy when no validation split) and the
     per-epoch history as a list of dicts.
 
+    Each epoch's metrics pass runs on a copy of that epoch's weights; when
+    ``_metrics_in_thread()`` holds, on a helper thread while the next
+    epoch's SGD runs. Results are collected in epoch order, so at most two
+    copies are alive, and an exception in the pass reaches the caller.
+
     Shuffling, weight init and batching all derive from config.seed; two
-    runs with identical inputs produce bit-identical models.
+    runs with identical inputs produce bit-identical models, with or
+    without the helper thread.
     """
     dataset = list(dataset)
     if not dataset:
@@ -312,39 +373,40 @@ def train(
         seed=config.seed,
     )
 
-    velocity = {k: np.zeros_like(getattr(model, k)) for k in ("w1", "b1", "w2", "b2")}
-    best = {k: getattr(model, k).copy() for k in velocity}
+    keys = ("w1", "b1", "w2", "b2")
+    velocity = {k: np.zeros_like(getattr(model, k)) for k in keys}
+    best = {k: getattr(model, k).copy() for k in keys}
     best_score = np.inf
     history = []
 
-    for epoch in range(config.epochs):
-        perm = rng.permutation(len(x_train))
-        for start in range(0, len(perm), config.batch_size):
-            idx = perm[start : start + config.batch_size]
-            grads = gradient(model, x_train[idx], y_train[idx])
-            for key, g in grads.items():
-                velocity[key] *= config.momentum
-                velocity[key] += g
-                getattr(model, key)[...] -= config.learning_rate * velocity[key]
-
-        train_ce, train_acc = _batched_metrics(model, x_train, y_train)
-        if len(x_val):
-            val_ce, val_acc = _batched_metrics(model, x_val, y_val)
-        else:
-            val_ce, val_acc = float("nan"), float("nan")
-        history.append(
-            {
-                "epoch": epoch,
-                "train_ce": train_ce,
-                "train_acc": train_acc,
-                "val_ce": val_ce,
-                "val_acc": val_acc,
-            }
-        )
-        score = val_ce if len(x_val) else train_ce
+    def collect(epoch, snapshot, result):
+        nonlocal best, best_score
+        row = result()
+        history.append({"epoch": epoch, **row})
+        score = row["val_ce"] if len(x_val) else row["train_ce"]
         if score < best_score:
-            best_score = score
-            best = {k: getattr(model, k).copy() for k in velocity}
+            best_score, best = score, snapshot
+
+    helper = futures.ThreadPoolExecutor(1, thread_name_prefix="revparams-metrics") if _metrics_in_thread() else None
+    with helper or contextlib.nullcontext():
+        pending = None
+        for epoch in range(config.epochs):
+            perm = rng.permutation(len(x_train))
+            for start in range(0, len(perm), config.batch_size):
+                idx = perm[start : start + config.batch_size]
+                grads = gradient(model, x_train[idx], y_train[idx])
+                for key, g in grads.items():
+                    velocity[key] *= config.momentum
+                    velocity[key] += g
+                    getattr(model, key)[...] -= config.learning_rate * velocity[key]
+            if pending is not None:
+                collect(*pending)
+            snapshot = {k: getattr(model, k).copy() for k in keys}
+            metrics = _submit(
+                helper, _epoch_metrics, dataclasses.replace(model, **snapshot), x_train, y_train, x_val, y_val
+            )
+            pending = epoch, snapshot, metrics
+        collect(*pending)
 
     for key, value in best.items():
         setattr(model, key, _snap_f32(value))
@@ -457,8 +519,16 @@ def model_from_bytes(blob: bytes) -> MlpModel:
         arrays.append(arr.astype(np.float64).reshape(shape))
     if offset != len(blob):
         raise ValueError(f"model container has {len(blob) - offset} trailing bytes")
+    for name, arr in zip(("w1", "b1", "w2", "b2"), arrays):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"model array {name!r} has non-finite entries")
 
     normalizer = _section(manifest, "normalizer", ("mean", "inv_std"))
+    for name in ("mean", "inv_std"):
+        if not isinstance(normalizer[name], list):
+            raise ValueError(f"model manifest key 'normalizer.{name}' must be a list of numbers")
+        for value in normalizer[name]:
+            _number(value, f"normalizer.{name}", integer=False)
     norm = FeatureNormalizer(
         np.asarray(normalizer["mean"], dtype=np.float64),
         np.asarray(normalizer["inv_std"], dtype=np.float64),

@@ -52,6 +52,32 @@ def test_estimate_nan_audio_exits_2(model_600, tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def _block_align_zero(wav: bytes) -> bytes:
+    # nAvgBytesPerSec (offset 28) is zeroed too, so scipy's consistency
+    # check passes and its frame count divides by nBlockAlign (offset 32).
+    return wav[:28] + bytes(4) + wav[32:]
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda wav: wav[:30],
+        lambda wav: wav[:36] + b"zzzz" + wav[40:],
+        _block_align_zero,
+    ],
+    ids=["truncated-header", "corrupt-chunk-header", "block-align-0"],
+)
+def test_estimate_malformed_wav_exits_2(mutate, model_600, tmp_path, capsys):
+    wav = tmp_path / "speech.wav"
+    write_wav_pcm16(wav, make_speech_like(0.5, seed=3))
+    wav.write_bytes(mutate(wav.read_bytes()))
+    assert main(["estimate", str(wav), "--model", str(model_600)]) == 2
+    err = capsys.readouterr().err
+    assert "not a readable WAV file" in err
+    assert str(wav) in err
+    assert "Traceback" not in err
+
+
 def test_estimate_silent_audio_exits_2(model_600, tmp_path, capsys):
     wav = tmp_path / "silent.wav"
     write_wav_pcm16(wav, AudioBuffer(np.zeros(32000)))
@@ -118,6 +144,13 @@ def _set(section, key, value):
         (_set("frame_params", "hop", 160.5), "'frame_params.hop'"),
         (lambda blob: _edit_manifest(blob, lambda m: m["vocabulary"].__setitem__(0, 5)), "'vocabulary'"),
         (lambda blob: _edit_manifest(blob, lambda m: m.__setitem__("seed", "x")), "'seed'"),
+        (lambda blob: blob[:-4] + struct.pack("<f", float("nan")), "'b2'"),
+        (
+            lambda blob: _edit_manifest(blob, lambda m: m["normalizer"]["inv_std"].__setitem__(4, float("nan"))),
+            "'normalizer.inv_std'",
+        ),
+        (lambda blob: _edit_manifest(blob, lambda m: m["normalizer"]["mean"].__setitem__(0, {})), "'normalizer.mean'"),
+        (_set("normalizer", "inv_std", 1.0), "'normalizer.inv_std'"),
     ],
     ids=[
         "header",
@@ -132,6 +165,10 @@ def _set(section, key, value):
         "frame-params-float-hop",
         "vocabulary-entry-type",
         "seed-type",
+        "nan-b2",
+        "nan-inv-std",
+        "normalizer-entry-type",
+        "normalizer-not-a-list",
     ],
 )
 def test_estimate_malformed_model_exits_2(corrupt, message, delta_wav, tmp_path, capsys):

@@ -3,7 +3,13 @@ import pytest
 
 from conftest import make_model
 from revparams.audio_io import AudioBuffer
-from revparams.estimator import decide, estimate_utterance, frame_posteriors, temporal_average
+from revparams.estimator import (
+    decide,
+    estimate_from_posteriors,
+    estimate_utterance,
+    frame_posteriors,
+    temporal_average,
+)
 from revparams.frontend import FrameParams
 from revparams.gabor import build_diagonal_filterbank
 from revparams.grid import ClassGrid, ClassVocabulary, center_of
@@ -110,3 +116,10 @@ class TestEstimateUtterance:
         estimate_utterance(AudioBuffer(0.1 * rng.standard_normal(8000)), full_model(), BANK, PARAMS, timings)
         assert timings["features_s"] > 0.0
         assert timings["mlp_s"] > 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_mean_posterior_raises(self, bad):
+        posteriors = np.full((4, len(VOCAB)), 1.0 / len(VOCAB))
+        posteriors[2, 3] = bad
+        with pytest.raises(ValueError, match="non-finite mean posterior"):
+            estimate_from_posteriors(posteriors, full_model())

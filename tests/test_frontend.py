@@ -60,11 +60,18 @@ class TestFraming:
         assert not frames.flags.writeable
 
     def test_log_mel_matches_gathered_frames(self):
-        audio = AudioBuffer(0.1 * np.random.default_rng(4).standard_normal(32000))
-        frames = reference_frame_signal(audio.samples, PARAMS) * hann_periodic(400)[None, :]
-        power = np.abs(np.fft.rfft(frames, n=512, axis=1)) ** 2
-        expected = np.log(np.maximum(power @ mel_filterbank(PARAMS).T, PARAMS.log_floor))
-        assert np.array_equal(log_mel_spectrogram(audio, PARAMS).values, expected)
+        """The row-blocked log-mel against one pass over all frames, at
+        tolerance 0. Up to 1,024 frames are one block; 1,025 split into
+        513 + 512, 6,073 into 6 near-equal blocks."""
+        for n_frames in (148, 998, 1_024, 1_025, 1_039, 2_049, 6_073):
+            n = PARAMS.frame_len + PARAMS.hop * (n_frames - 1)
+            audio = AudioBuffer(0.1 * np.random.default_rng(n_frames).standard_normal(n))
+            frames = reference_frame_signal(audio.samples, PARAMS) * hann_periodic(400)[None, :]
+            power = np.abs(np.fft.rfft(frames, n=512, axis=1)) ** 2
+            expected = np.log(np.maximum(power @ mel_filterbank(PARAMS).T, PARAMS.log_floor))
+            values = log_mel_spectrogram(audio, PARAMS).values
+            assert values.shape == (n_frames, PARAMS.n_mels)
+            assert np.array_equal(values, expected), n_frames
 
 
 class TestPowerSpectrum:

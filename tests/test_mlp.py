@@ -1,9 +1,12 @@
+import os
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import make_model
+from revparams import mlp
 from revparams.frontend import FrameParams
 from revparams.grid import ClassGrid, ClassVocabulary
 from revparams.mlp import (
@@ -110,7 +113,8 @@ def reference_train(dataset, config, n_classes):
             np.concatenate([np.full(len(mats[i]), labels[i]) for i in indices]),
         )
 
-    (x_train, y_train), (x_val, y_val) = stack(order[n_val:]), stack(order[:n_val])
+    x_train, y_train = stack(order[n_val:])
+    x_val, y_val = stack(order[:n_val]) if n_val else (None, None)
     frames = x_train.astype(np.float64)
     norm = FeatureNormalizer(frames.mean(axis=0), 1.0 / np.maximum(frames.std(axis=0), 1e-6))
     dim, hidden = x_train.shape[1], config.hidden_units
@@ -127,14 +131,27 @@ def reference_train(dataset, config, n_classes):
                 velocity[key] = config.momentum * velocity[key] + g
                 getattr(model, key)[...] -= config.learning_rate * velocity[key]
         train_ce, train_acc = reference_metrics(model, x_train, y_train)
-        val_ce, val_acc = reference_metrics(model, x_val, y_val)
+        val_ce, val_acc = reference_metrics(model, x_val, y_val) if n_val else (float("nan"), float("nan"))
         history.append(
             {"epoch": epoch, "train_ce": train_ce, "train_acc": train_acc, "val_ce": val_ce, "val_acc": val_acc}
         )
-        if val_ce < best_score:
-            best_score = val_ce
+        score = val_ce if n_val else train_ce
+        if score < best_score:
+            best_score = score
             best = {k: getattr(model, k).astype(np.float32).astype(np.float64) for k in velocity}
     return best, history
+
+
+@pytest.fixture(params=[True, False], ids=["metrics-thread", "metrics-inline"])
+def metrics_thread(request, monkeypatch):
+    """Forces ``train``'s metrics pass onto the helper thread or inline,
+    whatever this machine's BLAS and CPUs would select."""
+    monkeypatch.setattr(mlp, "_metrics_in_thread", lambda: request.param)
+    return request.param
+
+
+def metrics_threads_alive():
+    return [t for t in threading.enumerate() if t.name.startswith("revparams-metrics")]
 
 
 def seeded_model(d=600, h=256, c=168, seed=11):
@@ -192,19 +209,32 @@ class TestBitExactHotPath:
             for key in ref:
                 assert np.array_equal(grads[key], ref[key]), key
 
-    def test_train_matches_reference(self, rng):
+    def test_train_matches_reference(self, monkeypatch, rng):
+        """Weights and history against the serial reference, with the
+        metrics pass forced onto the helper thread and inline."""
         n_classes, dim = 6, 120
         centers = 2.0 * rng.standard_normal((n_classes, dim))
         data = [(centers[i % n_classes] + 3.0 * rng.standard_normal((80, dim)), i % n_classes) for i in range(30)]
         vocab = ClassVocabulary(tuple((0, j) for j in range(n_classes)))
-        # Large steps on small batches drive the loss so low that a one-ulp
-        # change in any activation shows in the history's float64 losses.
-        cfg = TrainConfig(learning_rate=1.0, batch_size=16, epochs=3, hidden_units=64, seed=5)
-        model, history = train(data, cfg, ClassGrid(), vocab)
-        best, ref_history = reference_train(data, cfg, n_classes)
-        assert history == ref_history
-        for key, value in best.items():
-            assert np.array_equal(getattr(model, key), value), key
+        for epochs, validation_fraction in [(1, 0.1), (2, 0.1), (5, 0.1), (3, 0.0)]:
+            # Large steps on small batches drive the loss so low that a one-ulp
+            # change in any activation shows in the history's float64 losses.
+            cfg = TrainConfig(
+                learning_rate=1.0,
+                batch_size=16,
+                epochs=epochs,
+                hidden_units=64,
+                seed=5,
+                validation_fraction=validation_fraction,
+            )
+            best, ref_history = reference_train(data, cfg, n_classes)
+            for in_thread in (True, False):
+                monkeypatch.setattr(mlp, "_metrics_in_thread", lambda in_thread=in_thread: in_thread)
+                case = f"epochs={epochs} validation_fraction={validation_fraction} in_thread={in_thread}"
+                model, history = train(data, cfg, ClassGrid(), vocab)
+                np.testing.assert_equal(history, ref_history, err_msg=case)  # exact; NaN equals NaN
+                for key, value in best.items():
+                    assert np.array_equal(getattr(model, key), value), (key, case)
 
 
 class TestNormalizer:
@@ -348,21 +378,23 @@ class TestTrain:
             np.testing.assert_array_equal(getattr(m1, key), getattr(m2, key))
         assert h1 == h2
 
-    def test_returns_best_validation_snapshot(self, rng):
+    def test_returns_best_validation_snapshot(self, monkeypatch, rng):
         data, _, _ = blob_dataset(rng)
-        model, history = train(data, self.CFG, ClassGrid(), VOCAB2)
-        # running minimum of the loss history never increases
-        mins = np.minimum.accumulate([h["val_ce"] for h in history])
-        assert all(b <= a for a, b in zip(mins, mins[1:]))
-        # reconstruct the deterministic validation split and verify the
-        # returned snapshot reproduces the best recorded validation CE
+        # reconstruct the deterministic validation split
         split_rng = np.random.default_rng(self.CFG.seed)
         order = split_rng.permutation(len(data))
         n_val = min(int(round(self.CFG.validation_fraction * len(data))), len(data) - 1)
         x_val = np.concatenate([np.asarray(data[i][0]) for i in order[:n_val]])
         y_val = np.concatenate([np.full(len(data[i][0]), data[i][1]) for i in order[:n_val]])
-        ce = cross_entropy(model, x_val, y_val)
-        assert ce == pytest.approx(min(mins), rel=1e-4)
+        for in_thread in (True, False):
+            monkeypatch.setattr(mlp, "_metrics_in_thread", lambda in_thread=in_thread: in_thread)
+            model, history = train(data, self.CFG, ClassGrid(), VOCAB2)
+            # running minimum of the loss history never increases
+            mins = np.minimum.accumulate([h["val_ce"] for h in history])
+            assert all(b <= a for a, b in zip(mins, mins[1:]))
+            # the returned snapshot reproduces the best recorded validation CE
+            ce = cross_entropy(model, x_val, y_val)
+            assert ce == pytest.approx(min(mins), rel=1e-4), in_thread
 
     def test_zero_learning_rate_leaves_parameters_unchanged(self, rng):
         data, _, _ = blob_dataset(rng)
@@ -380,6 +412,58 @@ class TestTrain:
     def test_empty_dataset_raises(self):
         with pytest.raises(ValueError):
             train([], self.CFG, ClassGrid(), VOCAB2)
+
+
+class TestMetricsThread:
+    CFG = TrainConfig(learning_rate=0.1, epochs=3, hidden_units=8, batch_size=64, seed=7)
+
+    def test_runs_on_the_selected_thread(self, metrics_thread, monkeypatch, rng):
+        ran_on = []
+        epoch_metrics = mlp._epoch_metrics
+
+        def spy(*args):
+            ran_on.append(threading.current_thread())
+            return epoch_metrics(*args)
+
+        monkeypatch.setattr(mlp, "_epoch_metrics", spy)
+        _, history = train(blob_dataset(rng)[0], self.CFG, ClassGrid(), VOCAB2)
+        assert len(ran_on) == len(history) == self.CFG.epochs
+        assert all((thread is not threading.main_thread()) == metrics_thread for thread in ran_on)
+        assert metrics_threads_alive() == []
+
+    @pytest.mark.parametrize("failing_call", [1, 4, 6])
+    def test_exception_in_metrics_reaches_caller(self, failing_call, metrics_thread, monkeypatch, rng):
+        """Calls 1-2 are epoch 0's train and val passes, 5-6 the last epoch's."""
+        calls = []
+        batched_metrics = mlp._batched_metrics
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == failing_call:
+                raise RuntimeError("metrics pass failed")
+            return batched_metrics(*args)
+
+        monkeypatch.setattr(mlp, "_batched_metrics", failing)
+        with pytest.raises(RuntimeError, match="metrics pass failed"):
+            train(blob_dataset(rng)[0], self.CFG, ClassGrid(), VOCAB2)
+        assert metrics_threads_alive() == []
+
+    @pytest.mark.parametrize(
+        "blas_threads, cpus, selected",
+        [(1, {0, 1}, True), (1, {0, 1, 2, 3}, True), (1, {0}, False), (2, {0, 1}, False), (None, {0, 1}, False)],
+    )
+    def test_selection_needs_one_blas_thread_and_two_cpus(self, blas_threads, cpus, selected, monkeypatch):
+        monkeypatch.setattr(mlp, "_blas_threads", lambda: blas_threads)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        assert mlp._metrics_in_thread() is selected
+
+    def test_blas_threads_reads_the_loaded_openblas(self):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        pinned = os.environ.get("OPENBLAS_NUM_THREADS")
+        if "openblas" not in str(blas.get("name")) or not pinned or not hasattr(os, "sched_getaffinity"):
+            pytest.skip("needs numpy on OpenBLAS, OPENBLAS_NUM_THREADS set and sched_getaffinity")
+        # OpenBLAS caps the requested count at the CPUs it may use
+        assert mlp._blas_threads() == min(int(pinned), len(os.sched_getaffinity(0)))
 
 
 class TestSerialization:
