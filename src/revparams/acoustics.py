@@ -19,6 +19,10 @@ from .audio_io import SAMPLE_RATE, AudioBuffer
 EDC_FLOOR_DB = -400.0
 DRR_INFINITE_DB = 400.0
 
+EDC_FIT_TOP_DB = -5.0  # the T60 line is fitted over [EDC_FIT_BOTTOM_DB, EDC_FIT_TOP_DB]
+EDC_FIT_BOTTOM_DB = -25.0
+DIRECT_HALF_WINDOW_S = 0.008  # DRR's direct part spans this much either side of the peak
+
 DIRECT_PATH_OFFSET_S = 0.016  # synth_rir puts the direct impulse here
 DECAY_LN = 6.0 * np.log(10.0)  # energy decays exp(-DECAY_LN * t / T60)
 
@@ -59,12 +63,12 @@ def schroeder_edc(rir: Rir) -> EdcCurve:
     return EdcCurve(values, rir.taps.sample_rate)
 
 
-def estimate_t60_from_edc(edc: EdcCurve, fit_lo: float = -5.0, fit_hi: float = -25.0) -> float:
+def estimate_t60_from_edc(edc: EdcCurve) -> float:
     """T60 from a least-squares line over the EDC samples within
-    [fit_hi, fit_lo] dB: T60 = -60 / slope, slope in dB/s."""
-    mask = (edc.values <= fit_lo) & (edc.values >= fit_hi)
-    if edc.values.min() > fit_hi or mask.sum() < 2:
-        raise ValueError(f"insufficient decay range: EDC never spans [{fit_hi}, {fit_lo}] dB")
+    [EDC_FIT_BOTTOM_DB, EDC_FIT_TOP_DB]: T60 = -60 / slope, slope in dB/s."""
+    mask = (edc.values <= EDC_FIT_TOP_DB) & (edc.values >= EDC_FIT_BOTTOM_DB)
+    if edc.values.min() > EDC_FIT_BOTTOM_DB or mask.sum() < 2:
+        raise ValueError(f"insufficient decay range: EDC never spans [{EDC_FIT_BOTTOM_DB}, {EDC_FIT_TOP_DB}] dB")
     t = np.flatnonzero(mask) / edc.sample_rate
     slope = np.polyfit(t, edc.values[mask], 1)[0]
     if slope >= 0.0:
@@ -72,15 +76,15 @@ def estimate_t60_from_edc(edc: EdcCurve, fit_lo: float = -5.0, fit_hi: float = -
     return -60.0 / slope
 
 
-def compute_drr(rir: Rir, half_window_ms: float = 8.0) -> float:
+def compute_drr(rir: Rir) -> float:
     """Direct-to-reverberation ratio in dB.
 
-    Direct energy is everything within +-half_window_ms of the absolute
-    peak (window clamped at the signal edges); the remainder is
+    Direct energy is everything within +-DIRECT_HALF_WINDOW_S of the
+    absolute peak (window clamped at the signal edges); the remainder is
     reverberant. A zero reverberant part yields the +400 dB sentinel.
     """
     h2 = rir.taps.samples**2
-    half = int(round(half_window_ms * 1e-3 * rir.taps.sample_rate))
+    half = int(round(DIRECT_HALF_WINDOW_S * rir.taps.sample_rate))
     lo = max(0, rir.peak_index - half)
     hi = min(len(h2), rir.peak_index + half + 1)
     direct = h2[lo:hi].sum()
@@ -97,7 +101,7 @@ def synth_rir(t60: float, drr: float, length: float, seed: int) -> Rir:
     under an exponential envelope decaying 60 dB per t60. The tail is scaled
     in closed form so that compute_drr recovers drr exactly. Whenever the
     energy budget allows, the noise starts immediately after the impulse
-    (inside the +-8 ms direct window) so the decay curve has no flat shelf
+    (inside the direct window) so the decay curve has no flat shelf
     and the T60 fit stays unbiased; at low DRR, where that is infeasible,
     the tail starts after the direct window instead (the resulting shelf
     then sits above the -5 dB fit bound, where it cannot bias the fit).
@@ -110,8 +114,7 @@ def synth_rir(t60: float, drr: float, length: float, seed: int) -> Rir:
         raise ValueError(f"length {length} s too short for t60 {t60} s")
     n = int(round(length * SAMPLE_RATE))
     peak = int(round(DIRECT_PATH_OFFSET_S * SAMPLE_RATE))
-    half = int(round(0.008 * SAMPLE_RATE))
-    window_end = peak + half + 1  # first sample outside the direct window
+    window_end = peak + int(round(DIRECT_HALF_WINDOW_S * SAMPLE_RATE)) + 1  # first sample outside it
     if n <= window_end:
         raise ValueError("length leaves no room for a reverberant tail")
 

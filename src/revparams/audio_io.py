@@ -43,13 +43,12 @@ class AudioBuffer:
         return len(self.samples)
 
 
-def read_wav(path, channel: int = 0, expect_rate: int | None = SAMPLE_RATE) -> AudioBuffer:
-    """Read a RIFF/WAVE file into an AudioBuffer.
+def read_wav(path, channel: int = 0) -> AudioBuffer:
+    """Read a 16 kHz RIFF/WAVE file into an AudioBuffer.
 
     Accepts PCM 16-bit signed little-endian or IEEE float-32. 16-bit samples
     map to [-1, 1) by division by 32768. Multichannel files are reduced to
-    the requested channel (default 0). Sample rates other than
-    ``expect_rate`` are rejected; pass ``expect_rate=None`` to accept any.
+    the requested channel (default 0). Other sample rates are rejected.
 
     A file that cannot be opened raises OSError; a malformed one raises
     ValueError naming it.
@@ -62,8 +61,8 @@ def read_wav(path, channel: int = 0, expect_rate: int | None = SAMPLE_RATE) -> A
         # scipy's parser fails on malformed headers with whatever its
         # arithmetic hits: struct.error, UnboundLocalError, ZeroDivisionError...
         raise ValueError(f"{path}: not a readable WAV file ({type(exc).__name__}: {exc})") from exc
-    if expect_rate is not None and rate != expect_rate:
-        raise ValueError(f"{path}: sample rate {rate} Hz not supported, expected {expect_rate} Hz")
+    if rate != SAMPLE_RATE:
+        raise ValueError(f"{path}: sample rate {rate} Hz not supported, expected {SAMPLE_RATE} Hz")
     if data.ndim == 2:
         if not 0 <= channel < data.shape[1]:
             raise ValueError(f"{path}: channel {channel} out of range for {data.shape[1]} channels")
@@ -77,7 +76,7 @@ def read_wav(path, channel: int = 0, expect_rate: int | None = SAMPLE_RATE) -> A
         samples = data.astype(np.float64)
     else:
         raise ValueError(f"{path}: unsupported sample format {data.dtype}, need int16 or float32")
-    return AudioBuffer(samples, int(rate))
+    return AudioBuffer(samples)
 
 
 def write_wav_pcm16(path, audio: AudioBuffer) -> None:

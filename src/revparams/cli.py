@@ -13,8 +13,10 @@ import glob
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
+from scipy.io.wavfile import WavFileWarning
 
 from .acoustics import Rir, compute_drr, estimate_t60_from_edc, schroeder_edc
 from .audio_io import read_wav
@@ -302,11 +304,16 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
-    try:
-        return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # scipy warns about each WAV chunk it skips; read_wav already turns the
+    # files it cannot parse into errors. Filters are process-wide, so this
+    # one also covers reads on --jobs worker threads.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", WavFileWarning)
+        try:
+            return args.func(args)
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

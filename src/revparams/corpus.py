@@ -8,13 +8,14 @@ noise is reverberated too.
 Noise kinds are synthetic stand-ins with the right coarse character:
 ``ambient`` is pink noise from a cascaded first-order IIR approximation,
 ``fan`` is pink noise low-passed at 500 Hz, and ``babble`` sums four
-amplitude-modulated speech-shaped noise sources (real speech buffers can be
-supplied instead). All are unit RMS before SNR scaling.
+amplitude-modulated speech-shaped noise sources. All are unit RMS before
+SNR scaling.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import os
 from concurrent import futures
 from dataclasses import dataclass
@@ -34,7 +35,8 @@ NOISE_KINDS = ("ambient", "babble", "fan", "none")
 _PINK_POLES_HZ = (12.0, 120.0, 1200.0, 6000.0)
 _PINK_ZEROS_HZ = (37.9, 379.0, 3795.0, 18974.0)
 
-_WARMUP_S = 0.5
+_NYQUIST_HZ = SAMPLE_RATE / 2.0
+_WARMUP = SAMPLE_RATE // 2  # 0.5 s of filter start-up, generated and dropped
 
 
 @dataclass
@@ -67,14 +69,13 @@ def convolve(speech: AudioBuffer, rir: Rir) -> AudioBuffer:
     return AudioBuffer(wet, speech.sample_rate)
 
 
-def _pink(n: int, rng: np.random.Generator, sample_rate: int) -> np.ndarray:
-    warmup = int(_WARMUP_S * sample_rate)
-    x = rng.standard_normal(n + warmup)
+def _pink(n: int, rng: np.random.Generator) -> np.ndarray:
+    x = rng.standard_normal(n + _WARMUP)
     for fp, fz in zip(_PINK_POLES_HZ, _PINK_ZEROS_HZ):
-        rp = np.exp(-2.0 * np.pi * fp / sample_rate)
-        rz = np.exp(-2.0 * np.pi * fz / sample_rate)
+        rp = np.exp(-2.0 * np.pi * fp / SAMPLE_RATE)
+        rz = np.exp(-2.0 * np.pi * fz / SAMPLE_RATE)
         x = lfilter([1.0, -rz], [1.0, -rp], x)
-    return x[warmup:]
+    return x[_WARMUP:]
 
 
 def _unit_rms(x: np.ndarray) -> np.ndarray:
@@ -84,46 +85,27 @@ def _unit_rms(x: np.ndarray) -> np.ndarray:
     return x / rms
 
 
-def _babble_source(n: int, rng: np.random.Generator, sample_rate: int) -> np.ndarray:
-    warmup = int(_WARMUP_S * sample_rate)
-    nyq = sample_rate / 2.0
-    carrier = lfilter(*butter(1, 500.0 / nyq, btype="low"), rng.standard_normal(n + warmup))
-    syllabic = lfilter(*butter(2, 3.5 / nyq, btype="low"), rng.standard_normal(n + warmup))
-    return (carrier * np.abs(syllabic))[warmup:]
+def _babble_source(n: int, rng: np.random.Generator) -> np.ndarray:
+    carrier = lfilter(*butter(1, 500.0 / _NYQUIST_HZ, btype="low"), rng.standard_normal(n + _WARMUP))
+    syllabic = lfilter(*butter(2, 3.5 / _NYQUIST_HZ, btype="low"), rng.standard_normal(n + _WARMUP))
+    return (carrier * np.abs(syllabic))[_WARMUP:]
 
 
-def gen_noise(
-    kind: str,
-    duration: float,
-    seed,
-    sample_rate: int = SAMPLE_RATE,
-    babble_sources=None,
-) -> AudioBuffer:
-    """Generate ``duration`` seconds of unit-RMS noise, deterministic per seed.
-
-    For babble, ``babble_sources`` (a list of AudioBuffer, e.g. real speech)
-    overrides the synthetic sources; they are tiled/truncated to length.
-    """
+def gen_noise(kind: str, duration: float, seed) -> AudioBuffer:
+    """Generate ``duration`` seconds of unit-RMS noise, deterministic per seed."""
     if duration <= 0:
         raise ValueError("duration must be positive")
-    n = int(round(duration * sample_rate))
+    n = int(round(duration * SAMPLE_RATE))
     rng = np.random.default_rng(seed)
     if kind == "ambient":
-        x = _pink(n, rng, sample_rate)
+        x = _pink(n, rng)
     elif kind == "fan":
-        pink = _pink(n, rng, sample_rate)
-        x = lfilter(*butter(4, 500.0 / (sample_rate / 2.0), btype="low"), pink)
+        x = lfilter(*butter(4, 500.0 / _NYQUIST_HZ, btype="low"), _pink(n, rng))
     elif kind == "babble":
-        if babble_sources:
-            x = np.zeros(n)
-            for src in babble_sources:
-                reps = int(np.ceil(n / len(src.samples)))
-                x += _unit_rms(np.tile(src.samples, reps)[:n])
-        else:
-            x = sum(_babble_source(n, rng, sample_rate) for _ in range(4))
+        x = sum(_babble_source(n, rng) for _ in range(4))
     else:
         raise ValueError(f"unknown noise kind {kind!r}, expected one of {NOISE_KINDS[:3]}")
-    return AudioBuffer(_unit_rms(x), sample_rate)
+    return AudioBuffer(_unit_rms(x))
 
 
 def mix_at_snr(signal: AudioBuffer, noise: AudioBuffer, snr: float) -> AudioBuffer:
@@ -140,7 +122,7 @@ def mix_at_snr(signal: AudioBuffer, noise: AudioBuffer, snr: float) -> AudioBuff
     return AudioBuffer(sig + scale * nse, signal.sample_rate)
 
 
-def make_speech_like(duration: float, seed, sample_rate: int = SAMPLE_RATE) -> AudioBuffer:
+def make_speech_like(duration: float, seed) -> AudioBuffer:
     """Synthetic speech-like utterance: a drifting harmonic voice with two
     random formant emphases, syllabic (~4 Hz) amplitude modulation and a
     faint broadband floor. Deterministic per seed; peak-normalized to 0.5.
@@ -150,14 +132,13 @@ def make_speech_like(duration: float, seed, sample_rate: int = SAMPLE_RATE) -> A
     if duration <= 0:
         raise ValueError("duration must be positive")
     rng = np.random.default_rng(seed)
-    n = int(round(duration * sample_rate))
-    nyq = sample_rate / 2.0
+    n = int(round(duration * SAMPLE_RATE))
 
     f0 = rng.uniform(105.0, 225.0)
-    drift = lfilter(*butter(2, 2.0 / nyq, btype="low"), rng.standard_normal(n))
+    drift = lfilter(*butter(2, 2.0 / _NYQUIST_HZ, btype="low"), rng.standard_normal(n))
     drift = drift / (np.abs(drift).max() + 1e-12)
     inst_f0 = f0 * (1.0 + 0.06 * drift)
-    phase = 2.0 * np.pi * np.cumsum(inst_f0) / sample_rate
+    phase = 2.0 * np.pi * np.cumsum(inst_f0) / SAMPLE_RATE
 
     formants = rng.uniform((300.0, 900.0), (800.0, 2400.0))
     voiced = np.zeros(n)
@@ -168,12 +149,12 @@ def make_speech_like(duration: float, seed, sample_rate: int = SAMPLE_RATE) -> A
         gain *= 1.0 + 1.5 * np.exp(-0.5 * ((fh - formants[1]) / 250.0) ** 2)
         voiced += gain * np.sin(h * phase + rng.uniform(0.0, 2.0 * np.pi))
 
-    syllabic = lfilter(*butter(2, 4.0 / nyq, btype="low"), rng.standard_normal(n))
+    syllabic = lfilter(*butter(2, 4.0 / _NYQUIST_HZ, btype="low"), rng.standard_normal(n))
     envelope = np.abs(syllabic) / (np.abs(syllabic).max() + 1e-12)
     # clip weak stretches to silence so utterances have real pauses
     envelope = np.maximum(envelope - 0.2, 0.0)
     x = voiced * envelope + 0.003 * rng.standard_normal(n)
-    return AudioBuffer(0.5 * x / (np.abs(x).max() + 1e-12), sample_rate)
+    return AudioBuffer(0.5 * x / (np.abs(x).max() + 1e-12))
 
 
 def _render_item(utt: AudioBuffer, rir: Rir, kind: str, snr, child_seed) -> AudioBuffer:
@@ -289,30 +270,54 @@ def write_manifest_csv(manifest: CorpusManifest, path) -> None:
             )
 
 
+def _number(row: dict, column: str, kind=float):
+    """``kind(row[column])``, checked to parse and to be finite."""
+    text = row[column]
+    try:
+        value = kind(text)
+    except ValueError:
+        expected = "an integer" if kind is int else "a number"
+        raise ValueError(f"column {column!r} holds {text!r}, not {expected}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"column {column!r} holds {text!r}, not a finite number")
+    return value
+
+
+def _manifest_item(row: dict, base: str) -> CorpusItem:
+    # DictReader fills a short row's missing fields with None and files a
+    # long row's extra fields under the key None.
+    if None in row or None in row.values():
+        raise ValueError("row does not have one field per column")
+    audio_path = row["path"]
+    if audio_path and not os.path.isabs(audio_path):
+        audio_path = os.path.join(base, audio_path)
+    return CorpusItem(
+        path=audio_path or None,
+        buffer=None,
+        rir_id=_number(row, "rir_id", int),
+        noise_kind=row["noise_kind"],
+        snr_db=_number(row, "snr_db") if row["snr_db"] else None,
+        t60=_number(row, "t60_s"),
+        drr=_number(row, "drr_db"),
+        class_id=_number(row, "class_id", int),
+    )
+
+
 def read_manifest_items(path) -> list:
     """Read manifest.csv rows back as CorpusItems; relative audio paths are
-    resolved against the manifest's directory."""
+    resolved against the manifest's directory.
+
+    A missing column, a row with missing or extra fields, a non-numeric
+    field, or a non-finite SNR, T60 or DRR raises ValueError naming the
+    file and line.
+    """
     base = os.path.dirname(os.path.abspath(path))
-    items = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        missing = set(MANIFEST_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"{path}: manifest missing columns {sorted(missing)}")
-        for row in reader:
-            audio_path = row["path"]
-            if audio_path and not os.path.isabs(audio_path):
-                audio_path = os.path.join(base, audio_path)
-            items.append(
-                CorpusItem(
-                    path=audio_path or None,
-                    buffer=None,
-                    rir_id=int(row["rir_id"]),
-                    noise_kind=row["noise_kind"],
-                    snr_db=float(row["snr_db"]) if row["snr_db"] else None,
-                    t60=float(row["t60_s"]),
-                    drr=float(row["drr_db"]),
-                    class_id=int(row["class_id"]),
-                )
-            )
-    return items
+        try:
+            missing = set(MANIFEST_COLUMNS) - set(reader.fieldnames or ())
+            if missing:
+                raise ValueError(f"manifest missing columns {sorted(missing)}")
+            return [_manifest_item(row, base) for row in reader]
+        except (csv.Error, ValueError) as exc:
+            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from exc

@@ -140,14 +140,13 @@ def _load_item_audio(item):
 
 
 def evaluate(items, model: MlpModel, bank, params, jobs: int = 1) -> EvalResult:
-    """Run the estimator over corpus items and summarize errors by condition.
+    """Run the estimator over a list of CorpusItems and summarize errors by
+    condition.
 
-    ``items`` is a CorpusManifest or a list of CorpusItems. Items that cannot
-    be read or estimated (e.g. too short or silent) are excluded from the
-    statistics and reported in ``excluded``, in item order for any ``jobs``.
-    Use jobs=1 whenever the timing figures matter.
+    Items that cannot be read or estimated (e.g. too short or silent) are
+    excluded from the statistics and reported in ``excluded``, in item
+    order for any ``jobs``. Use jobs=1 whenever the timing figures matter.
     """
-    item_list = list(getattr(items, "items", items))
 
     def run_one(pair):
         idx, item = pair
@@ -173,7 +172,7 @@ def evaluate(items, model: MlpModel, bank, params, jobs: int = 1) -> EvalResult:
             mlp_s=timings["mlp_s"],
         )
 
-    results = _map(run_one, enumerate(item_list), jobs)
+    results = _map(run_one, enumerate(items), jobs)
     records = [r for r in results if isinstance(r, EvalRecord)]
     excluded = [r for r in results if not isinstance(r, EvalRecord)]
 

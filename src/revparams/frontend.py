@@ -40,8 +40,8 @@ class FrameParams:
         if not 0 <= self.fmin < self.fmax:
             raise ValueError("need 0 <= fmin < fmax")
 
-    def frame_rate(self, sample_rate: int = SAMPLE_RATE) -> float:
-        return sample_rate / self.hop
+    def frame_rate(self) -> float:
+        return SAMPLE_RATE / self.hop
 
 
 @dataclass
@@ -92,10 +92,10 @@ def row_blocks(*arrays):
 
 
 @lru_cache(maxsize=8)
-def _mel_filterbank_cached(params: FrameParams, sample_rate: int) -> np.ndarray:
+def _mel_filterbank_cached(params: FrameParams) -> np.ndarray:
     mel_points = np.linspace(hz_to_mel(params.fmin), hz_to_mel(params.fmax), params.n_mels + 2)
     hz_points = mel_to_hz(mel_points)
-    bin_freqs = np.arange(params.fft_size // 2 + 1) * (sample_rate / params.fft_size)
+    bin_freqs = np.arange(params.fft_size // 2 + 1) * (SAMPLE_RATE / params.fft_size)
 
     bank = np.zeros((params.n_mels, len(bin_freqs)))
     for j in range(params.n_mels):
@@ -109,9 +109,9 @@ def _mel_filterbank_cached(params: FrameParams, sample_rate: int) -> np.ndarray:
     return bank / sums[:, None]
 
 
-def mel_filterbank(params: FrameParams, sample_rate: int = SAMPLE_RATE) -> np.ndarray:
+def mel_filterbank(params: FrameParams) -> np.ndarray:
     """Triangular mel filterbank, one row per channel, rows normalized to unit area."""
-    return _mel_filterbank_cached(params, sample_rate).copy()
+    return _mel_filterbank_cached(params).copy()
 
 
 def hann_periodic(n: int) -> np.ndarray:
@@ -153,7 +153,7 @@ def log_mel_spectrogram(audio: AudioBuffer, params: FrameParams = FrameParams())
         raise ValueError(f"pipeline expects {SAMPLE_RATE} Hz audio, got {audio.sample_rate} Hz")
     frames = frame_signal(audio, params)
     window = hann_periodic(params.frame_len)
-    bank_t = mel_filterbank(params, audio.sample_rate).T
+    bank_t = mel_filterbank(params).T
     values = np.empty((len(frames), params.n_mels))
     for rows, out in row_blocks(frames, values):
         power = np.abs(np.fft.rfft(rows * window, n=params.fft_size, axis=1))
@@ -161,4 +161,4 @@ def log_mel_spectrogram(audio: AudioBuffer, params: FrameParams = FrameParams())
         np.matmul(power, bank_t, out=out)
         np.maximum(out, params.log_floor, out=out)
         np.log(out, out=out)
-    return LogMelSpectrogram(values, params.frame_rate(audio.sample_rate))
+    return LogMelSpectrogram(values, params.frame_rate())

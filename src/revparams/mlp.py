@@ -42,7 +42,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .frontend import BLOCK_ROWS, FrameParams, row_blocks
-from .gabor import FeatureMatrix
 from .grid import ClassGrid, ClassVocabulary, center_of
 
 MAGIC = b"RVPM1\x00"
@@ -107,11 +106,6 @@ class MlpModel:
         return self.w2.shape[0]
 
 
-def _frames(features) -> np.ndarray:
-    """The (T, D) frame rows of a FeatureMatrix or array, without a copy."""
-    return np.atleast_2d(features.values if isinstance(features, FeatureMatrix) else np.asarray(features))
-
-
 def _column_sum(mats, buf: np.ndarray, center=None) -> np.ndarray:
     """Float64 column sums of every row of ``mats`` (squared deviations
     from ``center`` when given), in row order.
@@ -144,7 +138,7 @@ def fit_normalizer(feature_matrices) -> FeatureNormalizer:
     for D >= 2. For D = 1 numpy sums that one column pairwise, so the last
     bits may differ.
     """
-    mats = [_frames(fm) for fm in feature_matrices]
+    mats = [np.atleast_2d(np.asarray(m)) for m in feature_matrices]
     n = sum(len(m) for m in mats)
     if n < 2:
         raise ValueError(f"need at least 2 frames to fit a normalizer, got {n}")
@@ -242,12 +236,15 @@ def _snap_f32(a: np.ndarray) -> np.ndarray:
     return a.astype(np.float32).astype(np.float64)
 
 
-def _batched_metrics(model: MlpModel, x: np.ndarray, y: np.ndarray, chunk: int = 8192):
+_METRICS_CHUNK = 8192  # rows per forward call, which bounds the posteriors held at once
+
+
+def _batched_metrics(model: MlpModel, x: np.ndarray, y: np.ndarray):
     total_nll = 0.0
     correct = 0
-    for start in range(0, len(x), chunk):
-        yb = y[start : start + chunk]
-        post = forward(model, x[start : start + chunk])
+    for start in range(0, len(x), _METRICS_CHUNK):
+        yb = y[start : start + _METRICS_CHUNK]
+        post = forward(model, x[start : start + _METRICS_CHUNK])
         picked = post[np.arange(len(yb)), yb]
         total_nll -= np.log(np.maximum(picked, 1e-300)).sum()
         correct += int((post.argmax(axis=1) == yb).sum())
@@ -311,7 +308,7 @@ def train(
     vocabulary: ClassVocabulary,
     frame_params: FrameParams = FrameParams(),
 ):
-    """Fit the MLP on (FeatureMatrix, class id) pairs.
+    """Fit the MLP on (frames, class id) pairs, frames a (T, D) array.
 
     Splits off a validation fraction at the utterance level, fits the
     feature normalizer on the training portion, then runs minibatch SGD
@@ -338,7 +335,7 @@ def train(
         class_id = int(class_id)
         if not 0 <= class_id < n_classes:
             raise ValueError(f"class id {class_id} out of range for {n_classes} classes")
-        mats.append(np.asarray(_frames(features), dtype=np.float32))
+        mats.append(np.atleast_2d(np.asarray(features, dtype=np.float32)))
         utt_labels.append(class_id)
     dim = mats[0].shape[1]
     if any(m.shape[1] != dim for m in mats):
@@ -421,27 +418,11 @@ def train(
 
 def model_to_bytes(model: MlpModel) -> bytes:
     fp = model.frame_params
-    g = model.grid
     manifest = {
         "dims": {"d": model.d, "h": model.h, "c": model.c},
-        "grid": {
-            "t60_min": g.t60_min,
-            "t60_max": g.t60_max,
-            "t60_step": g.t60_step,
-            "drr_min": g.drr_min,
-            "drr_max": g.drr_max,
-            "drr_step": g.drr_step,
-        },
+        "grid": dataclasses.asdict(model.grid),
         "vocabulary": [[int(a), int(b)] for a, b in model.vocabulary.cells],
-        "frame_params": {
-            "frame_len": fp.frame_len,
-            "hop": fp.hop,
-            "fft_size": fp.fft_size,
-            "n_mels": fp.n_mels,
-            "fmin": fp.fmin,
-            "fmax": fp.fmax,
-            "log_floor": fp.log_floor,
-        },
+        "frame_params": dataclasses.asdict(fp),
         "filterbank": {"n_mels": fp.n_mels, "frame_rate": fp.frame_rate()},
         "normalizer": {
             "mean": model.normalizer.mean.tolist(),

@@ -1,15 +1,22 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.io import wavfile
 
+import revparams
 from conftest import make_model
 from revparams.audio_io import AudioBuffer, write_wav_pcm16
 from revparams.cli import main
 from revparams.corpus import make_speech_like
 from revparams.mlp import MAGIC, model_to_bytes, save_model
+
+SRC = str(Path(revparams.__file__).resolve().parents[1])
 
 
 @pytest.fixture
@@ -76,6 +83,57 @@ def test_estimate_malformed_wav_exits_2(mutate, model_600, tmp_path, capsys):
     assert "not a readable WAV file" in err
     assert str(wav) in err
     assert "Traceback" not in err
+
+
+def _run_cli(argv, cwd):
+    """Run the CLI in a fresh interpreter, with Python's default warning
+    filters; return (exit code, stderr)."""
+    env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"}
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "revparams.cli", *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+    return proc.returncode, proc.stderr
+
+
+def _with_bext_chunk(wav: bytes) -> bytes:
+    """A well-formed WAV with an extra 'bext' chunk between 'fmt ' and 'data'."""
+    chunk = b"bext" + struct.pack("<I", 8) + bytes(8)
+    wav = wav[:36] + chunk + wav[36:]
+    return wav[:4] + struct.pack("<I", len(wav) - 8) + wav[8:]
+
+
+def test_estimate_wav_with_unknown_chunk_leaves_stderr_empty(model_600, tmp_path):
+    wav = tmp_path / "bext.wav"
+    write_wav_pcm16(wav, make_speech_like(0.5, seed=3))
+    wav.write_bytes(_with_bext_chunk(wav.read_bytes()))
+    # two files over two threads: the warning is also silenced on workers
+    code, err = _run_cli(["estimate", str(wav), str(wav), "--model", str(model_600), "--jobs", "2"], tmp_path)
+    assert (code, err) == (0, "")
+
+
+def test_estimate_corrupt_chunk_header_prints_only_the_error(model_600, tmp_path):
+    wav = tmp_path / "speech.wav"
+    write_wav_pcm16(wav, make_speech_like(0.5, seed=3))
+    blob = wav.read_bytes()
+    wav.write_bytes(blob[:36] + b"zzzz" + blob[40:])
+    code, err = _run_cli(["estimate", str(wav), "--model", str(model_600)], tmp_path)
+    assert code == 2
+    assert err.startswith(f"error: {wav}: not a readable WAV file")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["evaluate", "train"])
+def test_truncated_manifest_exits_2_naming_the_line(command, model_600, tmp_path, capsys):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("path,rir_id,noise_kind,snr_db,t60_s,drr_db,class_id\nitem_00000.wav,0,amb")
+    argv = {
+        "evaluate": ["--model", str(model_600), "--out", str(tmp_path / "r.csv")],
+        "train": ["--out", str(tmp_path / "m.rvpm")],
+    }[command]
+    assert main([command, "--manifest", str(manifest), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {manifest}, line 2: row does not have one field per column\n"
 
 
 def test_estimate_silent_audio_exits_2(model_600, tmp_path, capsys):

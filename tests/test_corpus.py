@@ -95,11 +95,6 @@ class TestGenNoise:
         high = spec[freqs > 2000].mean()
         assert 10.0 * np.log10(high / low) < -40.0
 
-    def test_babble_accepts_real_sources(self, rng):
-        sources = [AudioBuffer(rng.standard_normal(8000)) for _ in range(4)]
-        noise = gen_noise("babble", 1.0, seed=0, babble_sources=sources)
-        assert np.sqrt(np.mean(noise.samples**2)) == pytest.approx(1.0, abs=1e-6)
-
     def test_unknown_kind_raises(self):
         with pytest.raises(ValueError, match="unknown noise kind"):
             gen_noise("rain", 1.0, seed=0)
@@ -213,3 +208,38 @@ class TestBuildCorpus:
         assert items[0].noise_kind == "none"
         assert items[0].snr_db is None
         assert items[0].t60 == pytest.approx(manifest.items[0].t60, abs=1e-6)
+
+
+HEADER = "path,rir_id,noise_kind,snr_db,t60_s,drr_db,class_id\n"
+GOOD_ROW = "item_00000.wav,0,ambient,10,0.500000,3.000000,1\n"
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("item_00000.wav,0,amb", "one field per column"),
+        ("item_00000.wav,0,ambient,10,0.5,3.0,1,7\n", "one field per column"),
+        ("item_00000.wav,x,ambient,10,0.5,3.0,1\n", "'rir_id' holds 'x', not an integer"),
+        ("item_00000.wav,0,ambient,ten,0.5,3.0,1\n", "'snr_db' holds 'ten', not a number"),
+        ("item_00000.wav,0,ambient,10,,3.0,1\n", "'t60_s' holds '', not a number"),
+        ("item_00000.wav,0,ambient,10,0.5,3.0,1.5\n", "'class_id' holds '1.5', not an integer"),
+        ("item_00000.wav,0,ambient,10,nan,3.0,1\n", "'t60_s' holds 'nan', not a finite number"),
+        ("item_00000.wav,0,ambient,10,0.5,-inf,1\n", "'drr_db' holds '-inf', not a finite number"),
+        ("item_00000.wav,0,ambient,inf,0.5,3.0,1\n", "'snr_db' holds 'inf', not a finite number"),
+    ],
+    ids=["truncated", "extra-field", "rir-id", "snr", "empty-t60", "class-id", "nan-t60", "inf-drr", "inf-snr"],
+)
+def test_malformed_manifest_row_names_file_and_line(row, message, tmp_path):
+    path = tmp_path / "manifest.csv"
+    path.write_text(HEADER + GOOD_ROW + row)
+    with pytest.raises(ValueError) as info:
+        read_manifest_items(path)
+    assert str(info.value).startswith(f"{path}, line 3: ")
+    assert message in str(info.value)
+
+
+def test_manifest_missing_column_names_file(tmp_path):
+    path = tmp_path / "manifest.csv"
+    path.write_text("path,rir_id\nitem_00000.wav,0\n")
+    with pytest.raises(ValueError, match="line 1: manifest missing columns"):
+        read_manifest_items(path)
