@@ -6,7 +6,6 @@ synthesis and evaluation machinery needed to train and validate it.
 """
 
 from .acoustics import (
-    EdcCurve,
     Rir,
     compute_drr,
     estimate_t60_from_edc,
@@ -25,7 +24,7 @@ from .corpus import (
     read_manifest_items,
     write_manifest_csv,
 )
-from .estimator import Estimate, decide, estimate_utterance, pipeline_for, temporal_average
+from .estimator import Estimate, StageTimes, decide, estimate_utterance, pipeline_for, temporal_average
 from .evaluate import (
     BoxStats,
     EvalRecord,

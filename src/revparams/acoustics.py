@@ -41,16 +41,9 @@ class Rir:
             self.peak_index = int(np.argmax(np.abs(self.taps.samples)))
 
 
-@dataclass
-class EdcCurve:
-    """Energy decay in dB per sample; starts at 0, non-increasing."""
-
-    values: np.ndarray
-    sample_rate: int
-
-
-def schroeder_edc(rir: Rir) -> EdcCurve:
-    """Backward-integrated squared RIR in dB relative to total energy.
+def schroeder_edc(rir: Rir) -> np.ndarray:
+    """Backward-integrated squared RIR in dB relative to total energy, one
+    value per sample; starts at 0 and never increases.
 
     All-zero tails map to the -400 dB sentinel rather than -inf.
     """
@@ -60,17 +53,17 @@ def schroeder_edc(rir: Rir) -> EdcCurve:
     with np.errstate(divide="ignore"):
         values = 10.0 * np.log10(remaining / total)
     values[remaining <= 0.0] = EDC_FLOOR_DB
-    return EdcCurve(values, rir.taps.sample_rate)
+    return values
 
 
-def estimate_t60_from_edc(edc: EdcCurve) -> float:
+def estimate_t60_from_edc(edc: np.ndarray) -> float:
     """T60 from a least-squares line over the EDC samples within
     [EDC_FIT_BOTTOM_DB, EDC_FIT_TOP_DB]: T60 = -60 / slope, slope in dB/s."""
-    mask = (edc.values <= EDC_FIT_TOP_DB) & (edc.values >= EDC_FIT_BOTTOM_DB)
-    if edc.values.min() > EDC_FIT_BOTTOM_DB or mask.sum() < 2:
+    mask = (edc <= EDC_FIT_TOP_DB) & (edc >= EDC_FIT_BOTTOM_DB)
+    if edc.min() > EDC_FIT_BOTTOM_DB or mask.sum() < 2:
         raise ValueError(f"insufficient decay range: EDC never spans [{EDC_FIT_BOTTOM_DB}, {EDC_FIT_TOP_DB}] dB")
-    t = np.flatnonzero(mask) / edc.sample_rate
-    slope = np.polyfit(t, edc.values[mask], 1)[0]
+    t = np.flatnonzero(mask) / SAMPLE_RATE
+    slope = np.polyfit(t, edc[mask], 1)[0]
     if slope >= 0.0:
         raise ValueError("EDC is not decaying over the fit range")
     return -60.0 / slope
@@ -84,7 +77,7 @@ def compute_drr(rir: Rir) -> float:
     reverberant. A zero reverberant part yields the +400 dB sentinel.
     """
     h2 = rir.taps.samples**2
-    half = int(round(DIRECT_HALF_WINDOW_S * rir.taps.sample_rate))
+    half = int(round(DIRECT_HALF_WINDOW_S * SAMPLE_RATE))
     lo = max(0, rir.peak_index - half)
     hi = min(len(h2), rir.peak_index + half + 1)
     direct = h2[lo:hi].sum()
@@ -148,4 +141,4 @@ def synth_rir(t60: float, drr: float, length: float, seed: int) -> Rir:
     else:
         # Low-DRR fallback: keep the direct window clean, scale the tail only.
         taps[window_end:] = shaped[~in_window] / np.sqrt(ratio * energy_tail)
-    return Rir(AudioBuffer(taps, SAMPLE_RATE), peak_index=peak)
+    return Rir(AudioBuffer(taps), peak_index=peak)

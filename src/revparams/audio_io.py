@@ -18,13 +18,12 @@ PCM16_SCALE = 32768.0
 
 @dataclass
 class AudioBuffer:
-    """A single-channel signal with its sample rate.
+    """A single-channel signal at SAMPLE_RATE.
 
     Samples are dimensionless amplitudes, nominally full scale at +-1.0.
     """
 
     samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -37,7 +36,7 @@ class AudioBuffer:
     @property
     def duration(self) -> float:
         """Length in seconds."""
-        return len(self.samples) / self.sample_rate
+        return len(self.samples) / SAMPLE_RATE
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -83,4 +82,4 @@ def write_wav_pcm16(path, audio: AudioBuffer) -> None:
     """Write an AudioBuffer as 16-bit PCM, clipping to full scale."""
     clipped = np.clip(audio.samples, -1.0, 32767.0 / PCM16_SCALE)
     pcm = np.round(clipped * PCM16_SCALE).astype(np.int16)
-    wavfile.write(path, audio.sample_rate, pcm)
+    wavfile.write(path, SAMPLE_RATE, pcm)

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 from scipy.io.wavfile import WavFileWarning
@@ -23,7 +24,6 @@ from .audio_io import read_wav
 from .corpus import _map, build_corpus, read_manifest_items
 from .estimator import (
     estimate_from_posteriors,
-    estimate_utterance,
     filterbank_for,
     frame_posteriors,
     gabor_features,
@@ -64,6 +64,12 @@ def _jobs(text: str) -> int:
 
 def _csv_floats(text: str) -> list:
     return [float(part) for part in text.split(",") if part]
+
+
+def _json(obj, **kwargs) -> str:
+    """Strict JSON: a NaN or infinity raises instead of writing a file that
+    JSON parsers reject."""
+    return json.dumps(obj, sort_keys=True, allow_nan=False, **kwargs)
 
 
 def cmd_filters(args) -> int:
@@ -163,7 +169,7 @@ def cmd_estimate(args) -> int:
         os.makedirs(args.per_frame, exist_ok=True)
 
     def run_one(path):
-        post = frame_posteriors(read_wav(path, channel=args.channel), model, bank, params)
+        post, _ = frame_posteriors(read_wav(path, channel=args.channel), model, bank, params)
         if args.per_frame:
             stem = os.path.splitext(os.path.basename(path))[0]
             np.savetxt(os.path.join(args.per_frame, f"{stem}.posteriors.csv"), post, delimiter=",")
@@ -188,10 +194,11 @@ def cmd_evaluate(args) -> int:
             snr = "" if r.snr_db is None else f"{r.snr_db:g}"
             fh.write(
                 f"{r.item_id},{r.t60:.6f},{r.drr:.6f},{r.t60_hat:.6f},{r.drr_hat:.6f},"
-                f"{r.e_t60:.6f},{r.e_drr:.6f},{r.noise_kind},{snr},{r.audio_s:.6f},{r.proc_s:.6f}\n"
+                f"{r.e_t60:.6f},{r.e_drr:.6f},{r.noise_kind},{snr},{r.audio_s:.6f},{r.times.total_s:.6f}\n"
             )
     _log(f"wrote {len(result.records)} rows to {args.out} ({len(result.excluded)} excluded)")
 
+    rtf = None if result.rtf is None else asdict(result.rtf)
     if args.stats:
         groups = []
         for (kind, snr), axes in result.stats.items():
@@ -199,36 +206,33 @@ def cmd_evaluate(args) -> int:
                 {
                     "noise_kind": kind,
                     "snr_db": snr,
-                    "t60": axes["t60"].to_dict(),
-                    "drr": axes["drr"].to_dict(),
+                    "t60": asdict(axes["t60"]),
+                    "drr": asdict(axes["drr"]),
                 }
             )
         payload = {
             "groups": groups,
-            "rtf": result.rtf.to_dict(),
+            "rtf": rtf,
             "excluded": len(result.excluded),
         }
+        text = _json(payload, indent=2)  # before opening: a refused value leaves no partial file
         with open(args.stats, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
     if args.rtf:
-        print(json.dumps(result.rtf.to_dict(), sort_keys=True))
+        print(_json(rtf))
     return 0
 
 
 def cmd_bench(args) -> int:
     model = load_model(args.model)
     bank, params = pipeline_for(model)
-    runs, features_s, mlp_s = [], [], []
+    runs = []
     for path in _wav_files(args.audio_dir):
         audio = read_wav(path)
-        timings = {}
-        estimate_utterance(audio, model, bank, params, timings=timings)
-        runs.append((timings["features_s"] + timings["mlp_s"], audio.duration))
-        features_s.append(timings["features_s"])
-        mlp_s.append(timings["mlp_s"])
-    report = measure_rtf(runs, stage_runs={"features": features_s, "mlp_forward": mlp_s})
-    print(json.dumps(report.to_dict(), sort_keys=True))
+        post, times = frame_posteriors(audio, model, bank, params)
+        estimate_from_posteriors(post, model)
+        runs.append((times, audio.duration))
+    print(_json(asdict(measure_rtf(runs))))
     return 0
 
 

@@ -61,12 +61,7 @@ class CorpusManifest:
 
 def convolve(speech: AudioBuffer, rir: Rir) -> AudioBuffer:
     """Full linear convolution; output length N + L - 1."""
-    if speech.sample_rate != rir.taps.sample_rate:
-        raise ValueError(
-            f"sample rate mismatch: speech {speech.sample_rate} Hz, rir {rir.taps.sample_rate} Hz"
-        )
-    wet = fftconvolve(speech.samples, rir.taps.samples)
-    return AudioBuffer(wet, speech.sample_rate)
+    return AudioBuffer(fftconvolve(speech.samples, rir.taps.samples))
 
 
 def _pink(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -119,7 +114,7 @@ def mix_at_snr(signal: AudioBuffer, noise: AudioBuffer, snr: float) -> AudioBuff
     if p_sig <= 0.0 or p_noise <= 0.0:
         raise ValueError("signal and noise must both have nonzero power")
     scale = np.sqrt(p_sig / (p_noise * 10.0 ** (snr / 10.0)))
-    return AudioBuffer(sig + scale * nse, signal.sample_rate)
+    return AudioBuffer(sig + scale * nse)
 
 
 def make_speech_like(duration: float, seed) -> AudioBuffer:
@@ -161,12 +156,12 @@ def _render_item(utt: AudioBuffer, rir: Rir, kind: str, snr, child_seed) -> Audi
     if kind == "none":
         mixed = utt
     else:
-        noise = gen_noise(kind, duration=len(utt) / utt.sample_rate, seed=child_seed)
+        noise = gen_noise(kind, duration=utt.duration, seed=child_seed)
         mixed = mix_at_snr(utt, noise, snr)
     wet = convolve(mixed, rir)
     peak = np.abs(wet.samples).max()
     if peak > 0.99:
-        wet = AudioBuffer(wet.samples * (0.99 / peak), wet.sample_rate)
+        wet = AudioBuffer(wet.samples * (0.99 / peak))
     return wet
 
 

@@ -28,6 +28,19 @@ class Estimate:
     n_frames: int
 
 
+@dataclass(frozen=True)
+class StageTimes:
+    """Wall-clock seconds of one utterance's two timed stages: audio to
+    Gabor features, and the MLP forward pass."""
+
+    features_s: float
+    mlp_s: float
+
+    @property
+    def total_s(self) -> float:
+        return self.features_s + self.mlp_s
+
+
 def temporal_average(posteriors: np.ndarray) -> np.ndarray:
     """Arithmetic mean of per-frame posteriors over the utterance."""
     posteriors = np.atleast_2d(np.asarray(posteriors, dtype=np.float64))
@@ -67,28 +80,26 @@ def frame_posteriors(
     model: MlpModel,
     bank: GaborFilterbank,
     params: FrameParams,
-    timings: dict | None = None,
-) -> np.ndarray:
-    """Per-frame class posteriors (T x C). Optionally records wall-clock
-    seconds per stage into ``timings`` as 'features_s' and 'mlp_s'.
+) -> tuple:
+    """Per-frame class posteriors (T x C) and the wall-clock StageTimes
+    that produced them.
 
     Raises, in this order, for a filterbank the model was not trained on,
-    for audio below one frame ("input too short") and for all-zero audio.
+    for audio below one frame ("input too short") and for constant audio.
     """
     if bank.feature_dim != model.d:
         raise ValueError(f"filterbank feature dim {bank.feature_dim} != model input dim {model.d}")
     t0 = time.perf_counter()
     feats = gabor_features(audio, bank, params)
     t1 = time.perf_counter()
-    # Silence carries no reverberation cue, yet the MLP still picks a cell.
-    if not audio.samples.any():
-        raise ValueError("silent input: every sample is zero")
+    # Constant audio (silence or a DC offset) carries no reverberation cue,
+    # yet the MLP still picks a cell.
+    samples = audio.samples
+    if not (samples != samples[0]).any():
+        raise ValueError("silent input: every sample equals the first")
     post = forward(model, feats.values)
     t2 = time.perf_counter()
-    if timings is not None:
-        timings["features_s"] = t1 - t0
-        timings["mlp_s"] = t2 - t1
-    return post
+    return post, StageTimes(t1 - t0, t2 - t1)
 
 
 def estimate_from_posteriors(posteriors: np.ndarray, model: MlpModel) -> Estimate:
@@ -106,11 +117,10 @@ def estimate_utterance(
     model: MlpModel,
     bank: GaborFilterbank,
     params: FrameParams,
-    timings: dict | None = None,
 ) -> Estimate:
     """Blind (T60, DRR) estimate for one utterance.
 
     Deterministic for fixed inputs; raises "input too short" for audio
     below one frame.
     """
-    return estimate_from_posteriors(frame_posteriors(audio, model, bank, params, timings), model)
+    return estimate_from_posteriors(frame_posteriors(audio, model, bank, params)[0], model)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .audio_io import read_wav
 from .corpus import _map
-from .estimator import estimate_utterance
+from .estimator import StageTimes, estimate_from_posteriors, frame_posteriors
 from .mlp import MlpModel
 
 FRAMES_PER_SECOND_NOMINAL = 100.0  # 10 ms hop
@@ -34,17 +34,6 @@ class BoxStats:
     whisker_hi: float
     outliers: list
     n: int
-
-    def to_dict(self) -> dict:
-        return {
-            "median": self.median,
-            "q25": self.q25,
-            "q75": self.q75,
-            "whisker_lo": self.whisker_lo,
-            "whisker_hi": self.whisker_hi,
-            "outliers": list(self.outliers),
-            "n": self.n,
-        }
 
 
 def boxplot_stats(values) -> BoxStats:
@@ -80,9 +69,7 @@ class EvalRecord:
     noise_kind: str
     snr_db: float | None
     audio_s: float
-    proc_s: float
-    features_s: float
-    mlp_s: float
+    times: StageTimes
 
 
 @dataclass
@@ -90,9 +77,6 @@ class RtfReport:
     mean_rtf: float
     fps: float
     stage_rtf: dict
-
-    def to_dict(self) -> dict:
-        return {"mean_rtf": self.mean_rtf, "fps": self.fps, "stage_rtf": dict(self.stage_rtf)}
 
 
 def fps_to_rtf(fps: float) -> float:
@@ -102,23 +86,20 @@ def fps_to_rtf(fps: float) -> float:
     return 100.0 / fps
 
 
-def measure_rtf(runs, stage_runs: dict | None = None) -> RtfReport:
-    """Mean-of-ratios RTF over (processing seconds, audio seconds) runs.
-
-    ``stage_runs`` optionally maps a stage name to per-run processing
-    seconds aligned with ``runs``; each stage gets its own mean RTF.
-    """
+def measure_rtf(runs) -> RtfReport:
+    """Mean-of-ratios RTF over (StageTimes, audio seconds) runs, in total
+    and per stage."""
     runs = list(runs)
     if not runs:
         raise ValueError("no runs to measure")
-    proc = np.asarray([r[0] for r in runs], dtype=np.float64)
-    audio = np.asarray([r[1] for r in runs], dtype=np.float64)
+    audio = np.asarray([a for _, a in runs], dtype=np.float64)
     if np.any(audio <= 0.0):
         raise ValueError("every run needs positive audio duration")
-    stage_rtf = {}
-    if stage_runs:
-        for stage, secs in stage_runs.items():
-            stage_rtf[stage] = float(np.mean(np.asarray(secs, dtype=np.float64) / audio))
+    proc = np.asarray([t.total_s for t, _ in runs])
+    stage_rtf = {
+        "features": float(np.mean(np.asarray([t.features_s for t, _ in runs]) / audio)),
+        "mlp_forward": float(np.mean(np.asarray([t.mlp_s for t, _ in runs]) / audio)),
+    }
     fps = FRAMES_PER_SECOND_NOMINAL * audio.sum() / proc.sum() if proc.sum() > 0 else float("inf")
     return RtfReport(mean_rtf=float(np.mean(proc / audio)), fps=float(fps), stage_rtf=stage_rtf)
 
@@ -127,7 +108,7 @@ def measure_rtf(runs, stage_runs: dict | None = None) -> RtfReport:
 class EvalResult:
     records: list
     stats: dict  # (noise_kind, snr_db) -> {"t60": BoxStats, "drr": BoxStats}
-    rtf: RtfReport
+    rtf: RtfReport | None  # None when no item could be estimated
     excluded: list = field(default_factory=list)  # (item_id, reason)
 
 
@@ -150,10 +131,10 @@ def evaluate(items, model: MlpModel, bank, params, jobs: int = 1) -> EvalResult:
 
     def run_one(pair):
         idx, item = pair
-        timings = {}
         try:
             audio = _load_item_audio(item)
-            est = estimate_utterance(audio, model, bank, params, timings=timings)
+            post, times = frame_posteriors(audio, model, bank, params)
+            est = estimate_from_posteriors(post, model)
         except (OSError, ValueError) as exc:
             return idx, str(exc)
         return EvalRecord(
@@ -167,9 +148,7 @@ def evaluate(items, model: MlpModel, bank, params, jobs: int = 1) -> EvalResult:
             noise_kind=item.noise_kind,
             snr_db=item.snr_db,
             audio_s=audio.duration,
-            proc_s=timings["features_s"] + timings["mlp_s"],
-            features_s=timings["features_s"],
-            mlp_s=timings["mlp_s"],
+            times=times,
         )
 
     results = _map(run_one, enumerate(items), jobs)
@@ -184,14 +163,5 @@ def evaluate(items, model: MlpModel, bank, params, jobs: int = 1) -> EvalResult:
             "drr": boxplot_stats([r.e_drr for r in group]),
         }
 
-    if records:
-        rtf = measure_rtf(
-            [(r.proc_s, r.audio_s) for r in records],
-            stage_runs={
-                "features": [r.features_s for r in records],
-                "mlp_forward": [r.mlp_s for r in records],
-            },
-        )
-    else:
-        rtf = RtfReport(mean_rtf=float("nan"), fps=float("nan"), stage_rtf={})
+    rtf = measure_rtf([(r.times, r.audio_s) for r in records]) if records else None
     return EvalResult(records, stats, rtf, excluded)

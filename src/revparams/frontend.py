@@ -49,7 +49,6 @@ class LogMelSpectrogram:
     """T x n_mels matrix of natural-log mel energies."""
 
     values: np.ndarray
-    frame_rate: float
 
     @property
     def n_frames(self) -> int:
@@ -149,8 +148,6 @@ def log_mel_spectrogram(audio: AudioBuffer, params: FrameParams = FrameParams())
     so the FFT and mel temporaries stay cache-sized; the bits equal one
     pass over all frames.
     """
-    if audio.sample_rate != SAMPLE_RATE:
-        raise ValueError(f"pipeline expects {SAMPLE_RATE} Hz audio, got {audio.sample_rate} Hz")
     frames = frame_signal(audio, params)
     window = hann_periodic(params.frame_len)
     bank_t = mel_filterbank(params).T
@@ -161,4 +158,4 @@ def log_mel_spectrogram(audio: AudioBuffer, params: FrameParams = FrameParams())
         np.matmul(power, bank_t, out=out)
         np.maximum(out, params.log_floor, out=out)
         np.log(out, out=out)
-    return LogMelSpectrogram(values, params.frame_rate())
+    return LogMelSpectrogram(values)

@@ -126,7 +126,6 @@ class FeatureMatrix:
     """T x feature_dim matrix of Gabor filter responses."""
 
     values: np.ndarray
-    frame_rate: float
 
     @property
     def n_frames(self) -> int:
@@ -255,7 +254,7 @@ def extract_features(spec: LogMelSpectrogram, bank: GaborFilterbank) -> FeatureM
         product = (spectrum[:, None, :] * kernel_spectra[:, :, None]).reshape(len(spectrum), -1)
         filtered = np.fft.irfft(product, n_fft, axis=0)[:n_frames]
         out[:, group.columns] = filtered @ group.mel_weights
-    return FeatureMatrix(out, spec.frame_rate)
+    return FeatureMatrix(out)
 
 
 def export_filterbank(bank: GaborFilterbank, out_dir) -> None:

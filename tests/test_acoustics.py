@@ -24,25 +24,25 @@ def exponential_rir(t60, n=16000):
 class TestSchroederEdc:
     def test_starts_at_zero(self, rng):
         edc = schroeder_edc(Rir(AudioBuffer(rng.standard_normal(2000))))
-        assert edc.values[0] == 0.0
+        assert edc[0] == 0.0
 
     def test_non_increasing(self, rng):
         edc = schroeder_edc(Rir(AudioBuffer(rng.standard_normal(2000))))
-        assert np.all(np.diff(edc.values) <= 1e-12)
+        assert np.all(np.diff(edc) <= 1e-12)
 
     def test_delta_gives_zero_then_sentinel(self):
         taps = np.zeros(100)
         taps[0] = 1.0
         edc = schroeder_edc(Rir(AudioBuffer(taps)))
-        assert edc.values[0] == 0.0
-        assert np.all(edc.values[1:] == EDC_FLOOR_DB)
+        assert edc[0] == 0.0
+        assert np.all(edc[1:] == EDC_FLOOR_DB)
 
     def test_exponential_envelope_slope_is_minus_60_over_t60(self):
         t60 = 0.4
         edc = schroeder_edc(exponential_rir(t60))
         lo, hi = 1000, 4000  # away from the truncation cliff
         t = np.arange(lo, hi) / SAMPLE_RATE
-        slope = np.polyfit(t, edc.values[lo:hi], 1)[0]
+        slope = np.polyfit(t, edc[lo:hi], 1)[0]
         assert slope == pytest.approx(-60.0 / t60, rel=0.005)
 
     def test_all_zero_rir_rejected(self):

@@ -145,6 +145,54 @@ def test_estimate_silent_audio_exits_2(model_600, tmp_path, capsys):
     assert "silent input" in captured.err
 
 
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda path: write_wav_pcm16(path, AudioBuffer(np.full(16000, 0.1))),
+        lambda path: wavfile.write(path, 16000, np.full(16000, 3e38, dtype=np.float32)),
+    ],
+    ids=["pcm16-0.1", "float32-3e38"],
+)
+def test_estimate_constant_audio_exits_2(write, model_600, tmp_path, capsys):
+    wav = tmp_path / "constant.wav"
+    write(wav)
+    assert main(["estimate", str(wav), "--model", str(model_600)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "silent input" in captured.err
+
+
+def test_estimate_other_sample_rate_exits_2(model_600, tmp_path, capsys):
+    wav = tmp_path / "8k.wav"
+    wavfile.write(wav, 8000, (make_speech_like(1.0, seed=3).samples * 16000).astype(np.int16))
+    assert main(["estimate", str(wav), "--model", str(model_600)]) == 2
+    assert "sample rate 8000 Hz not supported" in capsys.readouterr().err
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+MANIFEST_HEADER = "path,rir_id,noise_kind,snr_db,t60_s,drr_db,class_id\n"
+
+
+@pytest.mark.parametrize("rows", [[], ["constant.wav,0,ambient,10,0.5,3,0"]], ids=["header-only", "all-excluded"])
+def test_evaluate_with_nothing_estimable_writes_strict_json(rows, model_600, tmp_path, capsys):
+    write_wav_pcm16(tmp_path / "constant.wav", AudioBuffer(np.full(16000, 0.1)))
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(MANIFEST_HEADER + "".join(row + "\n" for row in rows))
+    stats = tmp_path / "stats.json"
+    argv = ["evaluate", "--manifest", str(manifest), "--model", str(model_600), "--out", str(tmp_path / "r.csv")]
+    assert main([*argv, "--stats", str(stats), "--rtf"]) == 0
+    captured = capsys.readouterr()
+    assert _strict_json(captured.out) is None
+    assert _strict_json(stats.read_text()) == {"excluded": len(rows), "groups": [], "rtf": None}
+    assert captured.err.count("silent input") == len(rows)
+
+
 def _edit_manifest(blob: bytes, edit) -> bytes:
     """A model container whose JSON manifest went through ``edit``."""
     start = len(MAGIC) + 4

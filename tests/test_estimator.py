@@ -94,8 +94,8 @@ class TestEstimateUtterance:
     def test_self_concatenation_preserves_interior_mean(self, rng):
         model = full_model(seed=3)
         x = 0.1 * rng.standard_normal(3 * 16000)
-        single = frame_posteriors(AudioBuffer(x), model, BANK, PARAMS)
-        double = frame_posteriors(AudioBuffer(np.concatenate([x, x])), model, BANK, PARAMS)
+        single, _ = frame_posteriors(AudioBuffer(x), model, BANK, PARAMS)
+        double, _ = frame_posteriors(AudioBuffer(np.concatenate([x, x])), model, BANK, PARAMS)
         t = single.shape[0]
         margin = 60  # beyond the widest temporal filter half-extent
         a = single[margin : t - margin].mean(axis=0)
@@ -112,10 +112,21 @@ class TestEstimateUtterance:
             estimate_utterance(AudioBuffer(np.zeros(16000)), model, BANK, PARAMS)
 
     def test_timings_recorded(self, rng):
-        timings = {}
-        estimate_utterance(AudioBuffer(0.1 * rng.standard_normal(8000)), full_model(), BANK, PARAMS, timings)
-        assert timings["features_s"] > 0.0
-        assert timings["mlp_s"] > 0.0
+        _, times = frame_posteriors(AudioBuffer(0.1 * rng.standard_normal(8000)), full_model(), BANK, PARAMS)
+        assert times.features_s > 0.0
+        assert times.mlp_s > 0.0
+        assert times.total_s == times.features_s + times.mlp_s
+
+    @pytest.mark.parametrize("level", [0.0, 0.1, -1.0, 3e38])
+    def test_constant_input_raises(self, level):
+        with pytest.raises(ValueError, match="silent input"):
+            frame_posteriors(AudioBuffer(np.full(8000, level)), full_model(), BANK, PARAMS)
+
+    def test_single_differing_sample_is_not_constant(self):
+        x = np.full(8000, 0.1)
+        x[-1] = 0.2
+        post, _ = frame_posteriors(AudioBuffer(x), full_model(), BANK, PARAMS)
+        assert post.shape[0] == (8000 - 400) // 160 + 1
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_mean_posterior_raises(self, bad):

@@ -4,7 +4,7 @@ import pytest
 from conftest import make_model
 from revparams.audio_io import AudioBuffer
 from revparams.corpus import CorpusItem
-from revparams.estimator import pipeline_for
+from revparams.estimator import StageTimes, pipeline_for
 from revparams.evaluate import boxplot_stats, evaluate, fps_to_rtf, measure_rtf
 from revparams.grid import ClassGrid, ClassVocabulary, center_of
 
@@ -78,17 +78,17 @@ class TestRtf:
             fps_to_rtf(0.0)
 
     def test_single_run_ratio(self):
-        report = measure_rtf([(0.62, 10.0)])
+        report = measure_rtf([(StageTimes(0.5, 0.12), 10.0)])
         assert report.mean_rtf == pytest.approx(0.062)
+        assert report.fps == pytest.approx(100.0 * 10.0 / 0.62)
 
     def test_mean_of_ratios(self):
-        report = measure_rtf([(1.0, 10.0), (3.0, 10.0)])
+        report = measure_rtf([(StageTimes(0.5, 0.5), 10.0), (StageTimes(2.0, 1.0), 10.0)])
         assert report.mean_rtf == pytest.approx(0.2)
 
     def test_stage_breakdown(self):
-        report = measure_rtf([(1.0, 10.0)], stage_runs={"features": [0.8], "mlp_forward": [0.2]})
-        assert report.stage_rtf["features"] == pytest.approx(0.08)
-        assert report.stage_rtf["mlp_forward"] == pytest.approx(0.02)
+        report = measure_rtf([(StageTimes(0.8, 0.2), 10.0), (StageTimes(0.4, 0.1), 5.0)])
+        assert report.stage_rtf == {"features": pytest.approx(0.08), "mlp_forward": pytest.approx(0.02)}
 
     def test_empty_runs_raise(self):
         with pytest.raises(ValueError):
@@ -96,7 +96,7 @@ class TestRtf:
 
     def test_zero_audio_raises(self):
         with pytest.raises(ValueError):
-            measure_rtf([(1.0, 0.0)])
+            measure_rtf([(StageTimes(0.5, 0.5), 0.0)])
 
 
 class TestEvaluate:
@@ -147,10 +147,21 @@ class TestEvaluate:
         t60, drr = center_of(GRID, VOCAB.cells[0])
         result = evaluate(items_with_truth(t60, drr, n=2), model, bank, params)
         for record in result.records:
-            assert record.proc_s > 0.0
+            assert record.times.features_s > 0.0
+            assert record.times.mlp_s > 0.0
             assert record.audio_s == pytest.approx(0.4)
         assert result.rtf.mean_rtf > 0.0
-        assert "features" in result.rtf.stage_rtf
+        assert set(result.rtf.stage_rtf) == {"features", "mlp_forward"}
+
+    def test_no_estimable_item_gives_no_rtf(self):
+        model = sure_model(winner=0)
+        bank, params = pipeline_for(model)
+        t60, drr = center_of(GRID, VOCAB.cells[0])
+        assert evaluate([], model, bank, params).rtf is None
+        items = [CorpusItem(None, AudioBuffer(np.full(6400, 0.1)), 0, "ambient", 10.0, t60, drr, 0)]
+        result = evaluate(items, model, bank, params)
+        assert result.records == [] and result.rtf is None
+        assert result.excluded == [(0, "silent input: every sample equals the first")]
 
     def test_parallel_jobs_match_serial(self):
         model = sure_model(winner=2)

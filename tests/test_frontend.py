@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from revparams.audio_io import AudioBuffer
+from revparams.audio_io import SAMPLE_RATE, AudioBuffer
 from revparams.frontend import (
     FrameParams,
     frame_signal,
@@ -15,9 +15,9 @@ from revparams.frontend import (
 PARAMS = FrameParams()
 
 
-def tone(freq, duration=1.0, amplitude=0.5, sr=16000):
-    t = np.arange(int(duration * sr)) / sr
-    return AudioBuffer(amplitude * np.sin(2 * np.pi * freq * t), sr)
+def tone(freq, duration=1.0, amplitude=0.5):
+    t = np.arange(int(duration * SAMPLE_RATE)) / SAMPLE_RATE
+    return AudioBuffer(amplitude * np.sin(2 * np.pi * freq * t))
 
 
 def reference_frame_signal(x, params):
@@ -122,7 +122,6 @@ class TestLogMel:
         spec = log_mel_spectrogram(AudioBuffer(np.zeros(16000)), PARAMS)
         assert spec.values.shape == (98, 26)
         assert np.all(spec.values == np.log(PARAMS.log_floor))
-        assert spec.frame_rate == 100.0
 
     @pytest.mark.parametrize("channel", range(26))
     def test_tone_at_channel_center_maximizes_that_channel(self, channel):
@@ -151,10 +150,6 @@ class TestLogMel:
         a = log_mel_spectrogram(AudioBuffer(x), PARAMS).values
         b = log_mel_spectrogram(AudioBuffer(3.0 * x), PARAMS).values
         assert np.all(b >= a)
-
-    def test_rejects_other_sample_rates(self):
-        with pytest.raises(ValueError, match="16000"):
-            log_mel_spectrogram(AudioBuffer(np.zeros(8000), sample_rate=8000), PARAMS)
 
 
 class TestFrameParamsValidation:

@@ -18,7 +18,7 @@ BANK = build_diagonal_filterbank()
 
 
 def spectro(values):
-    return LogMelSpectrogram(np.asarray(values, dtype=np.float64), 100.0)
+    return LogMelSpectrogram(np.asarray(values, dtype=np.float64))
 
 
 def brute_force_features(values, bank):
