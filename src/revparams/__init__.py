@@ -40,7 +40,6 @@ from .frontend import (
     LogMelSpectrogram,
     frame_signal,
     log_mel_spectrogram,
-    mel_center_frequencies,
     mel_filterbank,
     power_spectrum,
 )

@@ -46,8 +46,8 @@ def read_wav(path, channel: int = 0) -> AudioBuffer:
     """Read a 16 kHz RIFF/WAVE file into an AudioBuffer.
 
     Accepts PCM 16-bit signed little-endian or IEEE float-32. 16-bit samples
-    map to [-1, 1) by division by 32768. Multichannel files are reduced to
-    the requested channel (default 0). Other sample rates are rejected.
+    map to [-1, 1) by division by 32768. The requested channel (default 0)
+    is read; a channel the file lacks, or another sample rate, is refused.
 
     A file that cannot be opened raises OSError; a malformed one raises
     ValueError naming it.
@@ -62,12 +62,11 @@ def read_wav(path, channel: int = 0) -> AudioBuffer:
         raise ValueError(f"{path}: not a readable WAV file ({type(exc).__name__}: {exc})") from exc
     if rate != SAMPLE_RATE:
         raise ValueError(f"{path}: sample rate {rate} Hz not supported, expected {SAMPLE_RATE} Hz")
-    if data.ndim == 2:
-        if not 0 <= channel < data.shape[1]:
-            raise ValueError(f"{path}: channel {channel} out of range for {data.shape[1]} channels")
-        data = data[:, channel]
-    elif data.ndim != 1:
-        raise ValueError(f"{path}: unsupported data layout {data.shape}")
+    if data.ndim == 1:
+        data = data[:, None]  # mono: one channel, range-checked like the rest
+    if not 0 <= channel < data.shape[1]:
+        raise ValueError(f"{path}: channel {channel} out of range for {data.shape[1]} channels")
+    data = data[:, channel]
 
     if data.dtype == np.int16:
         samples = data.astype(np.float64) / PCM16_SCALE

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import glob
 import json
+import math
 import os
 import sys
 import warnings
@@ -21,7 +22,7 @@ from scipy.io.wavfile import WavFileWarning
 
 from .acoustics import Rir, compute_drr, estimate_t60_from_edc, schroeder_edc
 from .audio_io import read_wav
-from .corpus import _map, build_corpus, read_manifest_items
+from .corpus import NOISE_KINDS, _map, build_corpus, read_manifest_items
 from .estimator import (
     estimate_from_posteriors,
     filterbank_for,
@@ -31,7 +32,7 @@ from .estimator import (
 )
 from .evaluate import evaluate, measure_rtf
 from .frontend import FrameParams
-from .gabor import build_diagonal_filterbank, export_filterbank
+from .gabor import export_filterbank
 from .grid import ClassGrid, build_vocabulary, cell_of
 from .mlp import TrainConfig, load_model, save_model, train
 
@@ -62,8 +63,22 @@ def _jobs(text: str) -> int:
     return jobs
 
 
-def _csv_floats(text: str) -> list:
-    return [float(part) for part in text.split(",") if part]
+def _snrs(text: str) -> list:
+    try:
+        snrs = [float(part) for part in text.split(",") if part]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of numbers: {text!r}") from None
+    if not all(math.isfinite(snr) for snr in snrs):
+        raise argparse.ArgumentTypeError(f"SNRs must be finite, got {text!r}")
+    return snrs
+
+
+def _noise_kinds(text: str) -> list:
+    kinds = [kind for kind in text.split(",") if kind]
+    for kind in kinds:
+        if kind not in NOISE_KINDS:
+            raise argparse.ArgumentTypeError(f"unknown noise kind {kind!r}, expected any of {NOISE_KINDS}")
+    return kinds
 
 
 def _json(obj, **kwargs) -> str:
@@ -73,7 +88,7 @@ def _json(obj, **kwargs) -> str:
 
 
 def cmd_filters(args) -> int:
-    bank = build_diagonal_filterbank(n_mels=args.n_mels)
+    bank = filterbank_for(FrameParams())
     export_filterbank(bank, args.out)
     _log(f"wrote {len(bank.filters)} filters (feature_dim={bank.feature_dim}) to {args.out}")
     return 0
@@ -106,12 +121,11 @@ def cmd_ground_truth(args) -> int:
 def cmd_synth(args) -> int:
     speech = [read_wav(p) for p in _wav_files(args.speech_dir)]
     rirs = [Rir(read_wav(p)) for p in _wav_files(args.rir_dir)]
-    kinds = [k for k in args.noise.split(",") if k]
     manifest = build_corpus(
         speech,
         rirs,
-        kinds,
-        _csv_floats(args.snr),
+        args.noise,
+        args.snr,
         ClassGrid(),
         seed=args.seed,
         out_dir=args.out,
@@ -244,7 +258,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("filters", help="export the Gabor filterbank for inspection")
     p.add_argument("--out", required=True)
-    p.add_argument("--n-mels", type=int, default=26)
     p.set_defaults(func=cmd_filters)
 
     p = sub.add_parser("features", help="extract Gabor features from one WAV")
@@ -261,8 +274,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("synth", help="synthesize a labeled noisy reverberant corpus")
     p.add_argument("--speech-dir", required=True)
     p.add_argument("--rir-dir", required=True)
-    p.add_argument("--noise", default="ambient,babble,fan")
-    p.add_argument("--snr", default="0,10,20")
+    p.add_argument("--noise", type=_noise_kinds, default="ambient,babble,fan")
+    p.add_argument("--snr", type=_snrs, default="0,10,20")
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=cmd_synth)

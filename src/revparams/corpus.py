@@ -56,7 +56,6 @@ class CorpusManifest:
     items: list
     grid: ClassGrid
     vocabulary: ClassVocabulary
-    seed: int
 
 
 def convolve(speech: AudioBuffer, rir: Rir) -> AudioBuffer:
@@ -238,7 +237,7 @@ def build_corpus(
             buffer = None
         items.append(CorpusItem(path, buffer, rir_id, kind, snr, t60, drr, class_id))
 
-    manifest = CorpusManifest(items, grid, vocabulary, seed)
+    manifest = CorpusManifest(items, grid, vocabulary)
     if out_dir is not None:
         write_manifest_csv(manifest, os.path.join(out_dir, "manifest.csv"))
     return manifest

@@ -156,7 +156,9 @@ def evaluate(items, model: MlpModel, bank, params, jobs: int = 1) -> EvalResult:
     excluded = [r for r in results if not isinstance(r, EvalRecord)]
 
     stats = {}
-    for key in sorted({(r.noise_kind, r.snr_db) for r in records}, key=lambda k: (k[0], str(k[1]))):
+    # by kind, then SNR as a number; a kind's SNR-less group goes last
+    keys = {(r.noise_kind, r.snr_db) for r in records}
+    for key in sorted(keys, key=lambda k: (k[0], k[1] is None, k[1] or 0.0)):
         group = [r for r in records if (r.noise_kind, r.snr_db) == key]
         stats[key] = {
             "t60": boxplot_stats([r.e_t60 for r in group]),

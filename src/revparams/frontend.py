@@ -54,10 +54,6 @@ class LogMelSpectrogram:
     def n_frames(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def n_mels(self) -> int:
-        return self.values.shape[1]
-
 
 def hz_to_mel(f):
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
@@ -65,12 +61,6 @@ def hz_to_mel(f):
 
 def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
-
-
-def mel_center_frequencies(params: FrameParams) -> np.ndarray:
-    """Center frequency (Hz) of each mel channel."""
-    edges = np.linspace(hz_to_mel(params.fmin), hz_to_mel(params.fmax), params.n_mels + 2)
-    return mel_to_hz(edges[1:-1])
 
 
 BLOCK_ROWS = 1024
@@ -91,7 +81,9 @@ def row_blocks(*arrays):
 
 
 @lru_cache(maxsize=8)
-def _mel_filterbank_cached(params: FrameParams) -> np.ndarray:
+def mel_filterbank(params: FrameParams) -> np.ndarray:
+    """Triangular mel filterbank, one row per channel, rows normalized to
+    unit area. Cached per ``params``, so the array is read-only."""
     mel_points = np.linspace(hz_to_mel(params.fmin), hz_to_mel(params.fmax), params.n_mels + 2)
     hz_points = mel_to_hz(mel_points)
     bin_freqs = np.arange(params.fft_size // 2 + 1) * (SAMPLE_RATE / params.fft_size)
@@ -105,12 +97,9 @@ def _mel_filterbank_cached(params: FrameParams) -> np.ndarray:
     sums = bank.sum(axis=1)
     if np.any(sums <= 0.0):
         raise ValueError("mel filter with empty support; increase fft_size or reduce n_mels")
-    return bank / sums[:, None]
-
-
-def mel_filterbank(params: FrameParams) -> np.ndarray:
-    """Triangular mel filterbank, one row per channel, rows normalized to unit area."""
-    return _mel_filterbank_cached(params).copy()
+    bank /= sums[:, None]
+    bank.flags.writeable = False
+    return bank
 
 
 def hann_periodic(n: int) -> np.ndarray:
@@ -131,14 +120,15 @@ def frame_signal(audio: AudioBuffer, params: FrameParams = FrameParams()) -> np.
     return np.lib.stride_tricks.sliding_window_view(x, params.frame_len)[:: params.hop]
 
 
-def power_spectrum(frame: np.ndarray, params: FrameParams = FrameParams()) -> np.ndarray:
-    """One-sided power spectrum of a single windowed, zero-padded frame."""
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.shape != (params.frame_len,):
-        raise ValueError(f"frame must have length {params.frame_len}, got {frame.shape}")
-    windowed = frame * hann_periodic(params.frame_len)
-    spectrum = np.fft.rfft(windowed, n=params.fft_size)
-    return np.abs(spectrum) ** 2
+def power_spectrum(frames: np.ndarray, params: FrameParams = FrameParams()) -> np.ndarray:
+    """One-sided power spectra of Hann-windowed, zero-padded frames:
+    (..., frame_len) in, (..., fft_size // 2 + 1) out, one rfft along the
+    last axis."""
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.shape[-1:] != (params.frame_len,):
+        raise ValueError(f"frames must have length {params.frame_len}, got shape {frames.shape}")
+    power = np.abs(np.fft.rfft(frames * hann_periodic(params.frame_len), n=params.fft_size))
+    return np.square(power, out=power)
 
 
 def log_mel_spectrogram(audio: AudioBuffer, params: FrameParams = FrameParams()) -> LogMelSpectrogram:
@@ -149,13 +139,10 @@ def log_mel_spectrogram(audio: AudioBuffer, params: FrameParams = FrameParams())
     pass over all frames.
     """
     frames = frame_signal(audio, params)
-    window = hann_periodic(params.frame_len)
     bank_t = mel_filterbank(params).T
     values = np.empty((len(frames), params.n_mels))
     for rows, out in row_blocks(frames, values):
-        power = np.abs(np.fft.rfft(rows * window, n=params.fft_size, axis=1))
-        np.square(power, out=power)
-        np.matmul(power, bank_t, out=out)
+        np.matmul(power_spectrum(rows, params), bank_t, out=out)
         np.maximum(out, params.log_floor, out=out)
         np.log(out, out=out)
     return LogMelSpectrogram(values)

@@ -79,10 +79,6 @@ class GaborFilter:
     coeffs: np.ndarray  # real kernel, (w_m + 2) x (w_l + 2), spectral axis first
     representative_channels: tuple
 
-    @property
-    def real(self) -> np.ndarray:
-        return self.coeffs
-
 
 @dataclass(frozen=True)
 class TimeKernelGroup:
@@ -258,12 +254,12 @@ def extract_features(spec: LogMelSpectrogram, bank: GaborFilterbank) -> FeatureM
 
 
 def export_filterbank(bank: GaborFilterbank, out_dir) -> None:
-    """Dump each filter's real part as a plain-text matrix (row = spectral
+    """Dump each filter's kernel as a plain-text matrix (row = spectral
     axis) plus a manifest line per filter for debugging."""
     os.makedirs(out_dir, exist_ok=True)
     lines = []
     for i, filt in enumerate(bank.filters):
-        np.savetxt(os.path.join(out_dir, f"filter_{i:02d}.txt"), filt.real)
+        np.savetxt(os.path.join(out_dir, f"filter_{i:02d}.txt"), filt.coeffs)
         f_t = filt.spec.omega_l * bank.frame_rate / (2.0 * np.pi)
         f_s = filt.spec.omega_m / (2.0 * np.pi)
         chans = ",".join(str(c) for c in filt.representative_channels)

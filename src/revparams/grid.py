@@ -94,14 +94,8 @@ class ClassVocabulary:
         return len(self.cells)
 
     def class_id_of(self, cell: tuple) -> int:
-        try:
-            return self._index[cell]
-        except AttributeError:
-            object.__setattr__(self, "_index", {c: i for i, c in enumerate(self.cells)})
-            return self._index[cell]
-
-    def __contains__(self, cell: tuple) -> bool:
-        return cell in self.cells
+        """Output neuron of ``cell``; ValueError for a cell not in the vocabulary."""
+        return self.cells.index(cell)
 
 
 def build_vocabulary(grid: ClassGrid, pairs) -> ClassVocabulary:

@@ -3,8 +3,8 @@
 Covers feature normalization, deterministic minibatch SGD training with
 momentum and best-validation checkpointing, exact gradients (exposed for
 finite-difference checking), and a bit-exact binary model container that
-embeds everything estimation needs: normalizer, class vocabulary, grid and
-front-end parameters.
+embeds everything estimation needs: weights, normalizer and class
+vocabulary, with the fixed grid and front end named and checked.
 
 Training math runs in float64; finished weights are snapped to float32
 precision so the container round-trips forward outputs bit-exactly.
@@ -37,7 +37,7 @@ import math
 import os
 import struct
 from concurrent import futures
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,9 +106,9 @@ class MlpModel:
         return self.w2.shape[0]
 
 
-def _column_sum(mats, buf: np.ndarray, center=None) -> np.ndarray:
-    """Float64 column sums of every row of ``mats`` (squared deviations
-    from ``center`` when given), in row order.
+def _column_sum(x: np.ndarray, buf: np.ndarray, center=None) -> np.ndarray:
+    """Float64 column sums of the rows of ``x`` (squared deviations from
+    ``center`` when given), in row order.
 
     Each block of at most BLOCK_ROWS rows goes into ``buf[1:]`` behind the
     running sum in ``buf[0]``. A reduce over axis 0 of a C-contiguous
@@ -116,38 +116,33 @@ def _column_sum(mats, buf: np.ndarray, center=None) -> np.ndarray:
     ``buf[:k + 1]`` continues the order of one reduce over all rows.
     """
     buf[0] = 0.0
-    for m in mats:
-        for start in range(0, len(m), BLOCK_ROWS):
-            block = m[start : start + BLOCK_ROWS]
-            rows = buf[1 : len(block) + 1]
-            if center is None:
-                rows[...] = block
-            else:
-                np.subtract(block, center, out=rows)
-                np.square(rows, out=rows)
-            buf[0] = np.add.reduce(buf[: len(block) + 1], axis=0)
+    for start in range(0, len(x), BLOCK_ROWS):
+        block = x[start : start + BLOCK_ROWS]
+        rows = buf[1 : len(block) + 1]
+        if center is None:
+            rows[...] = block
+        else:
+            np.subtract(block, center, out=rows)
+            np.square(rows, out=rows)
+        buf[0] = np.add.reduce(buf[: len(block) + 1], axis=0)
     return buf[0].copy()
 
 
-def fit_normalizer(feature_matrices) -> FeatureNormalizer:
+def fit_normalizer(frames: np.ndarray) -> FeatureNormalizer:
     """Per-dimension mean and inverse standard deviation (population
-    convention, std floored at 1e-6) over all frames of all matrices,
+    convention, std floored at 1e-6) over the rows of a (T, D) array,
     streamed in row blocks without a float64 copy of the data.
 
-    Bit-identical to ``mean``/``std`` over the concatenated float64 frames
-    for D >= 2. For D = 1 numpy sums that one column pairwise, so the last
-    bits may differ.
+    Bit-identical to ``mean``/``std`` over the float64 frames for D >= 2.
+    For D = 1 numpy sums that one column pairwise, so the last bits may
+    differ.
     """
-    mats = [np.atleast_2d(np.asarray(m)) for m in feature_matrices]
-    n = sum(len(m) for m in mats)
-    if n < 2:
-        raise ValueError(f"need at least 2 frames to fit a normalizer, got {n}")
-    dim = mats[0].shape[1]
-    if any(m.shape[1] != dim for m in mats):
-        raise ValueError("inconsistent feature dimensions")
-    buf = np.empty((BLOCK_ROWS + 1, dim))
-    mean = _column_sum(mats, buf) / n
-    std = np.sqrt(_column_sum(mats, buf, center=mean) / n)
+    x = np.asarray(frames)
+    if len(x) < 2:
+        raise ValueError(f"need at least 2 frames to fit a normalizer, got {len(x)}")
+    buf = np.empty((BLOCK_ROWS + 1, x.shape[1]))
+    mean = _column_sum(x, buf) / len(x)
+    std = np.sqrt(_column_sum(x, buf, center=mean) / len(x))
     return FeatureNormalizer(mean, 1.0 / np.maximum(std, _STD_FLOOR))
 
 
@@ -181,21 +176,19 @@ def _forward_parts(model: MlpModel, x: np.ndarray, out=None):
 
 
 def forward(model: MlpModel, features: np.ndarray) -> np.ndarray:
-    """Class posteriors for one feature row (D,) or a batch (T, D).
+    """Class posteriors (T, C) of a batch of feature rows (T, D).
 
     Runs the ``row_blocks`` of the input, each written into the one
     (T, C) result, which equals one pass over all rows; tests/test_mlp.py
     (``test_forward_matches_reference``) checks that bit for bit.
     """
     x = np.asarray(features)
-    single = x.ndim == 1
-    x = np.atleast_2d(x)
-    if x.shape[1] != model.d:
-        raise ValueError(f"feature dimension {x.shape[1]} != model input dimension {model.d}")
+    if x.ndim != 2 or x.shape[1] != model.d:
+        raise ValueError(f"features of shape {x.shape}, model input needs (T, {model.d})")
     post = np.empty((len(x), model.c))
     for rows, out in row_blocks(x, post):
         _forward_parts(model, rows, out=out)
-    return post[0] if single else post
+    return post
 
 
 def cross_entropy(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> float:
@@ -357,7 +350,7 @@ def train(
     x_train, y_train = stack(train_idx)
     x_val, y_val = stack(val_idx)
 
-    normalizer = fit_normalizer([x_train])
+    normalizer = fit_normalizer(x_train)
     model = MlpModel(
         w1=glorot_init(rng, config.hidden_units, dim),
         b1=np.zeros(config.hidden_units),
@@ -416,25 +409,30 @@ def train(
 # manifest, then raw little-endian float32 blobs W1 (row-major), b1, W2, b2.
 
 
-def model_to_bytes(model: MlpModel) -> bytes:
-    fp = model.frame_params
-    manifest = {
-        "dims": {"d": model.d, "h": model.h, "c": model.c},
-        "grid": dataclasses.asdict(model.grid),
-        "vocabulary": [[int(a), int(b)] for a, b in model.vocabulary.cells],
+def _fixed_sections(grid: ClassGrid, fp: FrameParams) -> dict:
+    return {
+        "grid": dataclasses.asdict(grid),
         "frame_params": dataclasses.asdict(fp),
         "filterbank": {"n_mels": fp.n_mels, "frame_rate": fp.frame_rate()},
-        "normalizer": {
-            "mean": model.normalizer.mean.tolist(),
-            "inv_std": model.normalizer.inv_std.tolist(),
-        },
-        "seed": int(model.seed),
     }
-    mjson = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    parts = [MAGIC, struct.pack("<I", len(mjson)), mjson]
-    for arr in (model.w1, model.b1, model.w2, model.b2):
-        parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    return b"".join(parts)
+
+
+# The estimator has one grid and one front end. A manifest names them in
+# these sections, and a model with any other value is refused both ways.
+_FIXED = _fixed_sections(ClassGrid(), FrameParams())
+
+_MANIFEST_KEYS = ("dims", "grid", "vocabulary", "frame_params", "filterbank", "normalizer", "seed")
+
+
+def _exact_keys(obj: dict, names, prefix: str = "") -> None:
+    """Raise naming the first of ``names`` missing from ``obj``, else the
+    first key of ``obj`` not in ``names``."""
+    for name in names:
+        if name not in obj:
+            raise ValueError(f"model manifest lacks required key {prefix + name!r}")
+    for name in obj:
+        if name not in names:
+            raise ValueError(f"model manifest has unknown key {prefix + name!r}")
 
 
 def _section(manifest: dict, key: str, names) -> dict:
@@ -442,13 +440,40 @@ def _section(manifest: dict, key: str, names) -> dict:
     section = manifest[key]
     if not isinstance(section, dict):
         raise ValueError(f"model manifest key {key!r} is not an object")
-    for name in names:
-        if name not in section:
-            raise ValueError(f"model manifest lacks required key {f'{key}.{name}'!r}")
-    for name in section:
-        if name not in names:
-            raise ValueError(f"model manifest has unknown key {f'{key}.{name}'!r}")
+    _exact_keys(section, names, f"{key}.")
     return section
+
+
+def _check_fixed(manifest: dict) -> None:
+    """Raise naming the first key of the grid, frame_params and filterbank
+    sections whose value (or JSON type) differs from ``_FIXED``."""
+    for key, expected in _FIXED.items():
+        section = _section(manifest, key, expected)
+        for name, value in expected.items():
+            got = section[name]
+            if type(got) is not type(value) or got != value:
+                raise ValueError(f"model manifest key {f'{key}.{name}'!r} is {got!r}, not the fixed {value!r}")
+
+
+def model_to_bytes(model: MlpModel) -> bytes:
+    """The model container; raises ValueError for a grid or front end other
+    than the fixed ones, which no loader would accept."""
+    manifest = {
+        "dims": {"d": model.d, "h": model.h, "c": model.c},
+        "vocabulary": [[int(a), int(b)] for a, b in model.vocabulary.cells],
+        **_fixed_sections(model.grid, model.frame_params),
+        "normalizer": {
+            "mean": model.normalizer.mean.tolist(),
+            "inv_std": model.normalizer.inv_std.tolist(),
+        },
+        "seed": int(model.seed),
+    }
+    _check_fixed(manifest)
+    mjson = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    parts = [MAGIC, struct.pack("<I", len(mjson)), mjson]
+    for arr in (model.w1, model.b1, model.w2, model.b2):
+        parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    return b"".join(parts)
 
 
 def _number(value, key: str, integer: bool):
@@ -458,14 +483,6 @@ def _number(value, key: str, integer: bool):
         kind = "an integer" if integer else "a finite number"
         raise ValueError(f"model manifest key {key!r} must be {kind}, got {value!r}")
     return value
-
-
-def _params(manifest: dict, key: str, cls):
-    """``cls(**manifest[key])``, each field checked against its int/float annotation."""
-    section = _section(manifest, key, [f.name for f in fields(cls)])
-    for f in fields(cls):
-        _number(section[f.name], f"{key}.{f.name}", integer=f.type in (int, "int"))
-    return cls(**section)
 
 
 def model_from_bytes(blob: bytes) -> MlpModel:
@@ -483,13 +500,12 @@ def model_from_bytes(blob: bytes) -> MlpModel:
     offset += mlen
     if not isinstance(manifest, dict):
         raise ValueError("model manifest is not a JSON object")
-    for key in ("dims", "normalizer", "vocabulary", "grid", "frame_params"):
-        if key not in manifest:
-            raise ValueError(f"model manifest lacks required key {key!r}")
+    _exact_keys(manifest, _MANIFEST_KEYS)
+    _check_fixed(manifest)
 
     dims = _section(manifest, "dims", ("d", "h", "c"))
-    d, h, c = dims["d"], dims["h"], dims["c"]
-    if not all(isinstance(n, int) and n >= 1 for n in (d, h, c)):
+    d, h, c = (_number(dims[k], f"dims.{k}", integer=True) for k in ("d", "h", "c"))
+    if min(d, h, c) < 1:
         raise ValueError(f"model manifest dims must be positive integers, got {dims}")
     shapes = [(h, d), (h,), (c, h), (c,)]
     arrays = []
@@ -522,12 +538,11 @@ def model_from_bytes(blob: bytes) -> MlpModel:
     vocab = ClassVocabulary(tuple(tuple(_number(i, "vocabulary", integer=True) for i in cell) for cell in cells))
     if len(vocab) != c:
         raise ValueError("vocabulary size disagrees with output dimension")
-    grid = _params(manifest, "grid", ClassGrid)
+    grid = ClassGrid()
     for cell in vocab.cells:
         center_of(grid, cell)  # raises for a cell outside the grid
-    fp = _params(manifest, "frame_params", FrameParams)
-    seed = _number(manifest.get("seed", 0), "seed", integer=True)
-    return MlpModel(*arrays, norm, vocab, grid, fp, seed=seed)
+    seed = _number(manifest["seed"], "seed", integer=True)
+    return MlpModel(*arrays, norm, vocab, grid, FrameParams(), seed=seed)
 
 
 def save_model(model: MlpModel, path) -> None:

@@ -222,6 +222,8 @@ def _delete(manifest, dotted):
         "normalizer.mean",
         "grid.t60_step",
         "frame_params.hop",
+        "filterbank",
+        "seed",
     ],
 )
 def test_estimate_model_missing_manifest_key_exits_2(key, delta_wav, tmp_path, capsys):
@@ -257,6 +259,13 @@ def _set(section, key, value):
         ),
         (lambda blob: _edit_manifest(blob, lambda m: m["normalizer"]["mean"].__setitem__(0, {})), "'normalizer.mean'"),
         (_set("normalizer", "inv_std", 1.0), "'normalizer.inv_std'"),
+        (_set("frame_params", "fft_size", 2**28), "'frame_params.fft_size'"),
+        (_set("frame_params", "hop", 1), "'frame_params.hop'"),
+        (_set("frame_params", "hop", 160.0), "'frame_params.hop'"),
+        (_set("grid", "drr_step", 2.0), "'grid.drr_step'"),
+        (_set("filterbank", "frame_rate", 50.0), "'filterbank.frame_rate'"),
+        (lambda blob: _edit_manifest(blob, lambda m: m.__setitem__("bogus", 1)), "unknown key 'bogus'"),
+        (_set("dims", "d", True), "'dims.d'"),
     ],
     ids=[
         "header",
@@ -275,6 +284,13 @@ def _set(section, key, value):
         "nan-inv-std",
         "normalizer-entry-type",
         "normalizer-not-a-list",
+        "frame-params-fft-size",
+        "frame-params-hop",
+        "frame-params-float-valued-hop",
+        "grid-value",
+        "filterbank-value",
+        "unknown-top-level-key",
+        "dims-bool",
     ],
 )
 def test_estimate_malformed_model_exits_2(corrupt, message, delta_wav, tmp_path, capsys):
@@ -324,6 +340,25 @@ def test_features_csv_shape(tmp_path, capsys):
     assert main(["features", str(wav), "--out", str(out)]) == 0
     feats = np.loadtxt(out, delimiter=",")
     assert feats.shape == ((8000 - 400) // 160 + 1, 600)
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--snr", "0,abc"), ("--snr", "10,nan"), ("--noise", "wind"), ("--noise", "ambient,,wind")]
+)
+def test_bad_synth_argument_is_a_usage_error(flag, value, capsys):
+    argv = ["synth", "--speech-dir", "s", "--rir-dir", "r", "--out", "o", flag, value]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+
+
+def test_estimate_channel_missing_from_mono_file_exits_2(tmp_path, model_600, capsys):
+    wav = tmp_path / "mono.wav"
+    write_wav_pcm16(wav, make_speech_like(0.5, seed=3))
+    assert main(["estimate", str(wav), "--model", str(model_600), "--channel", "0"]) == 0
+    capsys.readouterr()
+    assert main(["estimate", str(wav), "--model", str(model_600), "--channel", "1"]) == 2
+    assert "channel 1 out of range for 1 channels" in capsys.readouterr().err
 
 
 def test_synth_is_byte_deterministic(data_dirs, tmp_path):

@@ -130,6 +130,15 @@ class TestEvaluate:
             assert fwd.stats[key]["t60"].median == rev.stats[key]["t60"].median
             assert fwd.stats[key]["drr"].n == rev.stats[key]["drr"].n
 
+    def test_groups_are_ordered_by_snr_as_a_number(self):
+        model = sure_model(winner=0)
+        bank, params = pipeline_for(model)
+        t60, drr = center_of(GRID, VOCAB.cells[0])
+        items = [item for snr in (10.0, 5.0, 0.0) for item in items_with_truth(t60, drr, n=1, snr=snr)]
+        items += items_with_truth(t60, drr, n=1, kind="none", snr=None)
+        result = evaluate(items, model, bank, params)
+        assert list(result.stats) == [("ambient", 0.0), ("ambient", 5.0), ("ambient", 10.0), ("none", None)]
+
     def test_unreadable_item_is_excluded_not_fatal(self):
         model = sure_model(winner=0)
         bank, params = pipeline_for(model)

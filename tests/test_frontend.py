@@ -6,9 +6,10 @@ from revparams.frontend import (
     FrameParams,
     frame_signal,
     hann_periodic,
+    hz_to_mel,
     log_mel_spectrogram,
-    mel_center_frequencies,
     mel_filterbank,
+    mel_to_hz,
     power_spectrum,
 )
 
@@ -105,6 +106,14 @@ class TestPowerSpectrum:
         with pytest.raises(ValueError):
             power_spectrum(np.zeros(401), PARAMS)
 
+    def test_block_matches_row_by_row(self):
+        """One rfft over an (n, 400) block gives each row's bits alone."""
+        frames = np.random.default_rng(7).standard_normal((37, 400))
+        block = power_spectrum(frames, PARAMS)
+        assert block.shape == (37, 257)
+        rows = np.stack([power_spectrum(frame, PARAMS) for frame in frames])
+        assert np.array_equal(block, rows)
+
 
 class TestMelFilterbank:
     def test_rows_nonnegative_with_positive_sums(self):
@@ -116,6 +125,13 @@ class TestMelFilterbank:
     def test_rows_are_unit_area(self):
         np.testing.assert_allclose(mel_filterbank(PARAMS).sum(axis=1), 1.0, atol=1e-12)
 
+    def test_repeat_calls_share_one_read_only_array(self):
+        bank = mel_filterbank(PARAMS)
+        assert mel_filterbank(FrameParams()) is bank
+        assert not bank.flags.writeable
+        with pytest.raises(ValueError):
+            bank[0, 0] = 1.0
+
 
 class TestLogMel:
     def test_zero_audio_clamps_to_floor(self):
@@ -125,7 +141,8 @@ class TestLogMel:
 
     @pytest.mark.parametrize("channel", range(26))
     def test_tone_at_channel_center_maximizes_that_channel(self, channel):
-        fc = mel_center_frequencies(PARAMS)[channel]
+        edges = np.linspace(hz_to_mel(PARAMS.fmin), hz_to_mel(PARAMS.fmax), PARAMS.n_mels + 2)
+        fc = mel_to_hz(edges[channel + 1])
         spec = log_mel_spectrogram(tone(fc), PARAMS)
         assert np.all(spec.values.argmax(axis=1) == channel)
 

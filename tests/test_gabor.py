@@ -52,7 +52,7 @@ def reference_features(values, bank):
     the envelope peak, sampled at its representative channels."""
     columns = []
     for filt in bank.filters:
-        kernel = filt.real.T  # (time, channel)
+        kernel = filt.coeffs.T  # (time, channel)
         b_c, a_c = (filt.spec.w_l + 1) // 2, (filt.spec.w_m + 1) // 2
         pad_t = (b_c, kernel.shape[0] - 1 - b_c)
         pad_m = (a_c, kernel.shape[1] - 1 - a_c)

@@ -94,6 +94,8 @@ class TestVocabulary:
         assert vocab.cells == ((0, 6), (7, 6))
         assert vocab.class_id_of((0, 6)) == 0
         assert vocab.class_id_of((7, 6)) == 1
+        with pytest.raises(ValueError):
+            vocab.class_id_of((3, 6))
 
     def test_empty_input_raises(self):
         with pytest.raises(ValueError):
