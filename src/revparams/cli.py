@@ -70,6 +70,8 @@ def _snrs(text: str) -> list:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of numbers: {text!r}") from None
     if not all(math.isfinite(snr) for snr in snrs):
         raise argparse.ArgumentTypeError(f"SNRs must be finite, got {text!r}")
+    if not snrs:
+        raise argparse.ArgumentTypeError(f"no SNR in {text!r}")
     return snrs
 
 
@@ -176,7 +178,21 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _posterior_csvs(directory: str, inputs: list) -> dict:
+    """Each input's per-frame posterior CSV in ``directory``; raises
+    ValueError naming two inputs that would write the same one."""
+    owner = {}
+    for path in inputs:
+        stem = os.path.splitext(os.path.basename(path))[0]
+        csv = os.path.join(directory, f"{stem}.posteriors.csv")
+        if csv in owner:
+            raise ValueError(f"--per-frame: inputs {owner[csv]} and {path} would both write {csv}")
+        owner[csv] = path
+    return {path: csv for csv, path in owner.items()}
+
+
 def cmd_estimate(args) -> int:
+    csvs = _posterior_csvs(args.per_frame, args.inputs) if args.per_frame else None
     model = load_model(args.model)
     bank, params = pipeline_for(model)
     if args.per_frame:
@@ -185,8 +201,7 @@ def cmd_estimate(args) -> int:
     def run_one(path):
         post, _ = frame_posteriors(read_wav(path, channel=args.channel), model, bank, params)
         if args.per_frame:
-            stem = os.path.splitext(os.path.basename(path))[0]
-            np.savetxt(os.path.join(args.per_frame, f"{stem}.posteriors.csv"), post, delimiter=",")
+            np.savetxt(csvs[path], post, delimiter=",")
         return estimate_from_posteriors(post, model)
 
     for path, est in zip(args.inputs, _map(run_one, args.inputs, args.jobs)):

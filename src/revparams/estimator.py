@@ -42,10 +42,10 @@ class StageTimes:
 
 
 def temporal_average(posteriors: np.ndarray) -> np.ndarray:
-    """Arithmetic mean of per-frame posteriors over the utterance."""
-    posteriors = np.atleast_2d(np.asarray(posteriors, dtype=np.float64))
-    if posteriors.shape[0] < 1 or posteriors.size == 0:
-        raise ValueError("need at least one frame of posteriors")
+    """Arithmetic mean of (T, C) per-frame posteriors over the utterance."""
+    posteriors = np.asarray(posteriors, dtype=np.float64)
+    if posteriors.ndim != 2 or posteriors.size == 0:
+        raise ValueError(f"need (T, C) posteriors with at least one frame, got shape {posteriors.shape}")
     return posteriors.mean(axis=0)
 
 
@@ -71,7 +71,7 @@ def gabor_features(audio: AudioBuffer, bank: GaborFilterbank, params: FrameParam
 
 
 def pipeline_for(model: MlpModel) -> tuple:
-    """(filterbank, frame params) matching a model's embedded configuration."""
+    """(filterbank, frame params) of the fixed front end a model reads."""
     return filterbank_for(model.frame_params), model.frame_params
 
 

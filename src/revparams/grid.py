@@ -1,7 +1,7 @@
 """Discretization of (T60, DRR) space into classifier target cells.
 
-The grid covers 0.1-0.9 s in 100 ms steps and -6..15 dB in 1 dB steps by
-default (8 x 21 cells). The class vocabulary is the sorted set of occupied
+The one grid covers 0.1-0.9 s in 100 ms steps and -6..15 dB in 1 dB steps
+(8 x 21 cells). The class vocabulary is the sorted set of occupied
 cells, which maps one-to-one onto classifier output neurons. Estimates are
 reported as cell centers.
 """
@@ -16,22 +16,16 @@ from dataclasses import dataclass
 _EDGE_EPS = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ClassGrid:
+    """The fixed (T60, DRR) grid: ``ClassGrid()`` takes no arguments."""
+
     t60_min: float = 0.1
     t60_max: float = 0.9
     t60_step: float = 0.1
     drr_min: float = -6.0
     drr_max: float = 15.0
     drr_step: float = 1.0
-
-    def __post_init__(self):
-        if self.t60_step <= 0 or self.drr_step <= 0:
-            raise ValueError("steps must be positive")
-        if self.t60_min >= self.t60_max or self.drr_min >= self.drr_max:
-            raise ValueError("min must be below max")
-        if self.n_t60_bins < 1 or self.n_drr_bins < 1:
-            raise ValueError("grid must contain at least one bin per axis")
 
     @property
     def n_t60_bins(self) -> int:

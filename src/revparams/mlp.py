@@ -4,7 +4,7 @@ Covers feature normalization, deterministic minibatch SGD training with
 momentum and best-validation checkpointing, exact gradients (exposed for
 finite-difference checking), and a bit-exact binary model container that
 embeds everything estimation needs: weights, normalizer and class
-vocabulary, with the fixed grid and front end named and checked.
+vocabulary, with the fixed grid and front end named and checked on load.
 
 Training math runs in float64; finished weights are snapped to float32
 precision so the container round-trips forward outputs bit-exactly.
@@ -38,6 +38,7 @@ import os
 import struct
 from concurrent import futures
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -89,9 +90,9 @@ class MlpModel:
     b2: np.ndarray  # C
     normalizer: FeatureNormalizer
     vocabulary: ClassVocabulary
-    grid: ClassGrid
-    frame_params: FrameParams
     seed: int = 0
+    grid: ClassVar[ClassGrid] = ClassGrid()
+    frame_params: ClassVar[FrameParams] = FrameParams()
 
     @property
     def d(self) -> int:
@@ -192,16 +193,16 @@ def forward(model: MlpModel, features: np.ndarray) -> np.ndarray:
 
 
 def cross_entropy(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> float:
-    """Mean frame-level cross-entropy of a batch."""
-    return float(_batched_metrics(model, np.atleast_2d(features), np.asarray(labels))[0])
+    """Mean frame-level cross-entropy of a (T, D) batch."""
+    return float(_batched_metrics(model, np.asarray(features), np.asarray(labels))[0])
 
 
 def gradient(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> dict:
-    """Exact gradients of mean batch cross-entropy w.r.t. all parameters."""
-    x = np.atleast_2d(np.asarray(features))
+    """Exact gradients of mean (T, D) batch cross-entropy w.r.t. all parameters."""
+    x = np.asarray(features)
     labels = np.asarray(labels, dtype=np.intp)
-    if x.shape[1] != model.d:
-        raise ValueError(f"feature dimension {x.shape[1]} != model input dimension {model.d}")
+    if x.ndim != 2 or x.shape[1] != model.d:
+        raise ValueError(f"features of shape {x.shape}, model input needs (T, {model.d})")
     if labels.shape != (x.shape[0],):
         raise ValueError("labels must match the batch length")
     xn, z1, post = _forward_parts(model, x)
@@ -307,7 +308,9 @@ def train(
     feature normalizer on the training portion, then runs minibatch SGD
     with momentum. Returns the snapshot with the best validation
     cross-entropy (training cross-entropy when no validation split) and the
-    per-epoch history as a list of dicts.
+    per-epoch history as a list of dicts. ``grid`` and ``frame_params``
+    can only be the fixed ``ClassGrid()`` and ``FrameParams()``, which the
+    model carries as class constants.
 
     Each epoch's metrics pass runs on a copy of that epoch's weights; when
     ``_metrics_in_thread()`` holds, on a helper thread while the next
@@ -358,8 +361,6 @@ def train(
         b2=np.zeros(n_classes),
         normalizer=normalizer,
         vocabulary=vocabulary,
-        grid=grid,
-        frame_params=frame_params,
         seed=config.seed,
     )
 
@@ -409,17 +410,13 @@ def train(
 # manifest, then raw little-endian float32 blobs W1 (row-major), b1, W2, b2.
 
 
-def _fixed_sections(grid: ClassGrid, fp: FrameParams) -> dict:
-    return {
-        "grid": dataclasses.asdict(grid),
-        "frame_params": dataclasses.asdict(fp),
-        "filterbank": {"n_mels": fp.n_mels, "frame_rate": fp.frame_rate()},
-    }
-
-
 # The estimator has one grid and one front end. A manifest names them in
-# these sections, and a model with any other value is refused both ways.
-_FIXED = _fixed_sections(ClassGrid(), FrameParams())
+# these sections, and the loader refuses a model with any other value.
+_FIXED = {
+    "grid": dataclasses.asdict(ClassGrid()),
+    "frame_params": dataclasses.asdict(FrameParams()),
+    "filterbank": {"n_mels": FrameParams().n_mels, "frame_rate": FrameParams().frame_rate()},
+}
 
 _MANIFEST_KEYS = ("dims", "grid", "vocabulary", "frame_params", "filterbank", "normalizer", "seed")
 
@@ -456,19 +453,17 @@ def _check_fixed(manifest: dict) -> None:
 
 
 def model_to_bytes(model: MlpModel) -> bytes:
-    """The model container; raises ValueError for a grid or front end other
-    than the fixed ones, which no loader would accept."""
+    """The model container."""
     manifest = {
         "dims": {"d": model.d, "h": model.h, "c": model.c},
         "vocabulary": [[int(a), int(b)] for a, b in model.vocabulary.cells],
-        **_fixed_sections(model.grid, model.frame_params),
+        **_FIXED,
         "normalizer": {
             "mean": model.normalizer.mean.tolist(),
             "inv_std": model.normalizer.inv_std.tolist(),
         },
         "seed": int(model.seed),
     }
-    _check_fixed(manifest)
     mjson = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
     parts = [MAGIC, struct.pack("<I", len(mjson)), mjson]
     for arr in (model.w1, model.b1, model.w2, model.b2):
@@ -542,7 +537,7 @@ def model_from_bytes(blob: bytes) -> MlpModel:
     for cell in vocab.cells:
         center_of(grid, cell)  # raises for a cell outside the grid
     seed = _number(manifest["seed"], "seed", integer=True)
-    return MlpModel(*arrays, norm, vocab, grid, FrameParams(), seed=seed)
+    return MlpModel(*arrays, norm, vocab, seed=seed)
 
 
 def save_model(model: MlpModel, path) -> None:

@@ -5,12 +5,11 @@ from scipy.io import wavfile
 from revparams.acoustics import synth_rir
 from revparams.audio_io import write_wav_pcm16
 from revparams.corpus import make_speech_like
-from revparams.frontend import FrameParams
-from revparams.grid import ClassGrid, ClassVocabulary
+from revparams.grid import ClassVocabulary
 from revparams.mlp import FeatureNormalizer, MlpModel
 
 
-def make_model(d=5, h=3, c=2, seed=0, normalizer=None, vocabulary=None, grid=None):
+def make_model(d=5, h=3, c=2, seed=0, normalizer=None, vocabulary=None):
     """Random small model with an identity normalizer (for unit tests)."""
     rng = np.random.default_rng(seed)
     if vocabulary is None:
@@ -22,8 +21,6 @@ def make_model(d=5, h=3, c=2, seed=0, normalizer=None, vocabulary=None, grid=Non
         b2=rng.standard_normal(c),
         normalizer=normalizer or FeatureNormalizer(np.zeros(d), np.ones(d)),
         vocabulary=vocabulary,
-        grid=grid or ClassGrid(),
-        frame_params=FrameParams(),
         seed=seed,
     )
 

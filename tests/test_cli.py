@@ -11,6 +11,7 @@ from scipy.io import wavfile
 
 import revparams
 from conftest import make_model
+from revparams import cli
 from revparams.audio_io import AudioBuffer, write_wav_pcm16
 from revparams.cli import main
 from revparams.corpus import make_speech_like
@@ -343,13 +344,29 @@ def test_features_csv_shape(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--snr", "0,abc"), ("--snr", "10,nan"), ("--noise", "wind"), ("--noise", "ambient,,wind")]
+    "flag, value",
+    [("--snr", "0,abc"), ("--snr", "10,nan"), ("--snr", ""), ("--noise", "wind"), ("--noise", "ambient,,wind")],
 )
 def test_bad_synth_argument_is_a_usage_error(flag, value, capsys):
     argv = ["synth", "--speech-dir", "s", "--rir-dir", "r", "--out", "o", flag, value]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert flag in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_estimate_per_frame_refuses_inputs_sharing_a_csv(jobs, tmp_path, model_600, monkeypatch, capsys):
+    wavs = [tmp_path / "a" / "x.wav", tmp_path / "b" / "x.wav"]
+    for seed, wav in enumerate(wavs):
+        wav.parent.mkdir()
+        write_wav_pcm16(wav, make_speech_like(0.5, seed=seed))
+    monkeypatch.setattr(cli, "read_wav", lambda *a, **k: pytest.fail("read a WAV"))
+    per_frame = tmp_path / "posteriors"
+    argv = ["estimate", *map(str, wavs), "--model", str(model_600), "--per-frame", str(per_frame), "--jobs", jobs]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(wavs[0]) in err and str(wavs[1]) in err
+    assert not per_frame.exists()
 
 
 def test_estimate_channel_missing_from_mono_file_exits_2(tmp_path, model_600, capsys):
@@ -486,8 +503,6 @@ def test_estimate_jobs_flag(data_dirs, tmp_path, capsys):
             str(rir_dir),
             "--noise",
             "none",
-            "--snr",
-            "",
             "--out",
             str(corpus),
         ]

@@ -21,7 +21,7 @@ BANK = build_diagonal_filterbank()
 
 
 def full_model(seed=0):
-    return make_model(d=600, h=16, c=len(VOCAB), seed=seed, vocabulary=VOCAB, grid=GRID)
+    return make_model(d=600, h=16, c=len(VOCAB), seed=seed, vocabulary=VOCAB)
 
 
 class TestTemporalAverage:
@@ -41,8 +41,10 @@ class TestTemporalAverage:
         np.testing.assert_allclose(temporal_average(post), [0.0, 0.5, 0.0, 0.5])
 
     def test_zero_frames_raises(self):
-        with pytest.raises(ValueError):
-            temporal_average(np.zeros((0, 4)))
+        # (0, C), and posteriors that are not (T, C): one row alone, or a stack
+        for shape in ((0, 4), (4,), (1, 1, 4)):
+            with pytest.raises(ValueError):
+                temporal_average(np.full(shape, 0.25))
 
 
 class TestDecide:

@@ -14,7 +14,7 @@ VOCAB = ClassVocabulary(((1, 3), (4, 9), (6, 15)))
 
 def sure_model(winner: int, seed=0):
     """Model rigged to always answer class ``winner``."""
-    model = make_model(d=600, h=8, c=len(VOCAB), seed=seed, vocabulary=VOCAB, grid=GRID)
+    model = make_model(d=600, h=8, c=len(VOCAB), seed=seed, vocabulary=VOCAB)
     model.w2 = np.zeros_like(model.w2)
     model.b2 = np.full(len(VOCAB), -30.0)
     model.b2[winner] = 30.0

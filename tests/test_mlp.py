@@ -1,7 +1,10 @@
 import dataclasses
+import json
 import os
+import struct
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from revparams import mlp
 from revparams.frontend import FrameParams
 from revparams.grid import ClassGrid, ClassVocabulary
 from revparams.mlp import (
+    MAGIC,
     FeatureNormalizer,
     TrainConfig,
     cross_entropy,
@@ -18,6 +22,7 @@ from revparams.mlp import (
     forward,
     glorot_init,
     gradient,
+    load_model,
     model_from_bytes,
     model_to_bytes,
     sigmoid,
@@ -356,6 +361,12 @@ class TestGradient:
         model = make_model()
         with pytest.raises(ValueError):
             gradient(model, np.zeros((3, 5)), np.zeros(2, dtype=int))
+        # features that are not (T, D): one row alone, or a stack of batches
+        for shape in ((5,), (1, 1, 5)):
+            with pytest.raises(ValueError):
+                gradient(model, np.zeros(shape), np.zeros(1, dtype=int))
+            with pytest.raises(ValueError):
+                cross_entropy(model, np.zeros(shape), np.zeros(1, dtype=int))
 
 
 class TestTrain:
@@ -486,18 +497,26 @@ class TestSerialization:
         assert loaded.seed == model.seed
         np.testing.assert_array_equal(loaded.normalizer.mean, model.normalizer.mean)
 
-    @pytest.mark.parametrize(
-        "field, value, key",
-        [
-            ("frame_params", FrameParams(hop=80), "'frame_params.hop'"),
-            ("frame_params", FrameParams(n_mels=20), "'frame_params.n_mels'"),
-            ("grid", ClassGrid(drr_step=3.0), "'grid.drr_step'"),
-        ],
-    )
-    def test_other_grid_or_front_end_is_not_written(self, field, value, key):
-        model = dataclasses.replace(make_model(), **{field: value})
-        with pytest.raises(ValueError, match=key):
-            model_to_bytes(model)
+    def test_grid_and_front_end_are_fixed(self):
+        """No other grid or front end can be built or given to a model, and
+        the written manifest names the one there is."""
+        for build in (
+            lambda: FrameParams(hop=80),
+            lambda: FrameParams(n_mels=20),
+            lambda: ClassGrid(drr_step=3.0),
+            lambda: dataclasses.replace(make_model(), frame_params=FrameParams()),
+        ):
+            with pytest.raises(TypeError):
+                build()
+        blob = model_to_bytes(make_model())
+        (mlen,) = struct.unpack_from("<I", blob, len(MAGIC))
+        manifest = json.loads(blob[len(MAGIC) + 4 : len(MAGIC) + 4 + mlen])
+        assert dataclasses.asdict(FrameParams()) == manifest["frame_params"]
+        assert dataclasses.asdict(ClassGrid()) == manifest["grid"]
+
+    def test_checked_in_model_re_saves_byte_identically(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "model" / "estimate.rvpm"
+        assert model_to_bytes(load_model(path)) == path.read_bytes()
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError, match="magic"):
