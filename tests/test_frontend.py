@@ -166,3 +166,19 @@ class TestLogMel:
         a = log_mel_spectrogram(AudioBuffer(x), PARAMS).values
         b = log_mel_spectrogram(AudioBuffer(3.0 * x), PARAMS).values
         assert np.all(b >= a)
+
+
+class TestFrameParamsValidation:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"frame_len": 600, "fft_size": 512},
+            {"hop": 0},
+            {"hop": 500},
+            {"n_mels": 0},
+            {"fmin": 9000.0},
+        ],
+    )
+    def test_bad_params_raise(self, kwargs):
+        with pytest.raises(TypeError, match="takes no arguments"):
+            FrameParams(**kwargs)

@@ -12,6 +12,11 @@ class TestGridShape:
         assert GRID.n_drr_bins == 21
         assert GRID.n_cells == 168
 
+    @pytest.mark.parametrize("kwargs", [{"t60_step": 0.0}, {"t60_min": 1.0}, {"drr_step": -1.0}])
+    def test_bad_grid_raises(self, kwargs):
+        with pytest.raises(TypeError, match="takes no arguments"):
+            ClassGrid(**kwargs)
+
 
 class TestCellOf:
     def test_interior_point(self):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import os
 import struct
@@ -497,17 +498,31 @@ class TestSerialization:
         assert loaded.seed == model.seed
         np.testing.assert_array_equal(loaded.normalizer.mean, model.normalizer.mean)
 
-    def test_grid_and_front_end_are_fixed(self):
+    @pytest.mark.parametrize(
+        "field, value, key",
+        [
+            ("frame_params", functools.partial(FrameParams, hop=80), "'frame_params.hop'"),
+            ("frame_params", functools.partial(FrameParams, n_mels=20), "'frame_params.n_mels'"),
+            ("grid", functools.partial(ClassGrid, drr_step=3.0), "'grid.drr_step'"),
+        ],
+    )
+    def test_other_grid_or_front_end_is_not_written(self, field, value, key):
         """No other grid or front end can be built or given to a model, and
-        the written manifest names the one there is."""
-        for build in (
-            lambda: FrameParams(hop=80),
-            lambda: FrameParams(n_mels=20),
-            lambda: ClassGrid(drr_step=3.0),
-            lambda: dataclasses.replace(make_model(), frame_params=FrameParams()),
-        ):
-            with pytest.raises(TypeError):
-                build()
+        the written manifest holds the fixed value under ``key``."""
+        with pytest.raises(TypeError, match="takes no arguments"):
+            value()
+        fixed = getattr(make_model(), field)
+        with pytest.raises(TypeError):
+            dataclasses.replace(make_model(), **{field: fixed})
+        section, name = key.strip("'").split(".")
+        blob = model_to_bytes(make_model())
+        (mlen,) = struct.unpack_from("<I", blob, len(MAGIC))
+        manifest = json.loads(blob[len(MAGIC) + 4 : len(MAGIC) + 4 + mlen])
+        assert section == field
+        assert manifest[section][name] == getattr(fixed, name)
+
+    def test_grid_and_front_end_are_fixed(self):
+        """The written manifest names the one grid and front end there is."""
         blob = model_to_bytes(make_model())
         (mlen,) = struct.unpack_from("<I", blob, len(MAGIC))
         manifest = json.loads(blob[len(MAGIC) + 4 : len(MAGIC) + 4 + mlen])
