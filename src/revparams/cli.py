@@ -23,15 +23,8 @@ from scipy.io.wavfile import WavFileWarning
 from .acoustics import Rir, compute_drr, estimate_t60_from_edc, schroeder_edc
 from .audio_io import read_wav
 from .corpus import NOISE_KINDS, _map, build_corpus, read_manifest_items
-from .estimator import (
-    estimate_from_posteriors,
-    filterbank_for,
-    frame_posteriors,
-    gabor_features,
-    pipeline_for,
-)
+from .estimator import estimate_from_posteriors, filterbank, frame_posteriors, gabor_features
 from .evaluate import evaluate, measure_rtf
-from .frontend import FrameParams
 from .gabor import export_filterbank
 from .grid import ClassGrid, build_vocabulary, cell_of
 from .mlp import TrainConfig, load_model, save_model, train
@@ -90,21 +83,19 @@ def _json(obj, **kwargs) -> str:
 
 
 def cmd_filters(args) -> int:
-    bank = filterbank_for(FrameParams())
+    bank = filterbank()
     export_filterbank(bank, args.out)
     _log(f"wrote {len(bank.filters)} filters (feature_dim={bank.feature_dim}) to {args.out}")
     return 0
 
 
 def cmd_features(args) -> int:
-    audio = read_wav(args.input, channel=args.channel)
-    params = FrameParams()
-    feats = gabor_features(audio, filterbank_for(params), params)
+    feats = gabor_features(read_wav(args.input, channel=args.channel))
     if args.out:
-        np.savetxt(args.out, feats.values, delimiter=",")
-        _log(f"wrote {feats.values.shape[0]} x {feats.values.shape[1]} features to {args.out}")
+        np.savetxt(args.out, feats, delimiter=",")
+        _log(f"wrote {feats.shape[0]} x {feats.shape[1]} features to {args.out}")
     else:
-        np.savetxt(sys.stdout, feats.values, delimiter=",")
+        np.savetxt(sys.stdout, feats, delimiter=",")
     return 0
 
 
@@ -147,15 +138,6 @@ def cmd_train(args) -> int:
             raise ValueError(
                 f"manifest class id {it.class_id} disagrees with grid cell (expected {expected})"
             )
-    params = FrameParams()
-    bank = filterbank_for(params)
-    _log(f"extracting features for {len(items)} items")
-    # float32 as extracted: train rounds to float32 anyway, so no float64
-    # copy of the training set is held
-    dataset = [
-        (gabor_features(read_wav(it.path), bank, params).values.astype(np.float32), it.class_id)
-        for it in items
-    ]
     config = TrainConfig(
         learning_rate=args.lr,
         momentum=args.momentum,
@@ -165,8 +147,12 @@ def cmd_train(args) -> int:
         seed=args.seed,
         validation_fraction=args.val_fraction,
     )
-    _log(f"training {bank.feature_dim} -> {config.hidden_units} -> {len(vocabulary)}")
-    model, history = train(dataset, config, grid, vocabulary, params)
+    _log(f"extracting features for {len(items)} items")
+    # float32 as extracted: train rounds to float32 anyway, so no float64
+    # copy of the training set is held
+    dataset = [(gabor_features(read_wav(it.path)).astype(np.float32), it.class_id) for it in items]
+    _log(f"training {filterbank().feature_dim} -> {config.hidden_units} -> {len(vocabulary)}")
+    model, history = train(dataset, config, grid, vocabulary)
     print("epoch\ttrain_ce\ttrain_acc\tval_ce\tval_acc")
     for row in history:
         print(
@@ -194,12 +180,11 @@ def _posterior_csvs(directory: str, inputs: list) -> dict:
 def cmd_estimate(args) -> int:
     csvs = _posterior_csvs(args.per_frame, args.inputs) if args.per_frame else None
     model = load_model(args.model)
-    bank, params = pipeline_for(model)
     if args.per_frame:
         os.makedirs(args.per_frame, exist_ok=True)
 
     def run_one(path):
-        post, _ = frame_posteriors(read_wav(path, channel=args.channel), model, bank, params)
+        post, _ = frame_posteriors(read_wav(path, channel=args.channel), model)
         if args.per_frame:
             np.savetxt(csvs[path], post, delimiter=",")
         return estimate_from_posteriors(post, model)
@@ -211,9 +196,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     items = read_manifest_items(args.manifest)
-    model = load_model(args.model)
-    bank, params = pipeline_for(model)
-    result = evaluate(items, model, bank, params, jobs=args.jobs)
+    result = evaluate(items, load_model(args.model), jobs=args.jobs)
     for item_id, reason in result.excluded:
         _log(f"excluded item {item_id}: {reason}")
 
@@ -254,11 +237,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_bench(args) -> int:
     model = load_model(args.model)
-    bank, params = pipeline_for(model)
     runs = []
     for path in _wav_files(args.audio_dir):
         audio = read_wav(path)
-        post, times = frame_posteriors(audio, model, bank, params)
+        post, times = frame_posteriors(audio, model)
         estimate_from_posteriors(post, model)
         runs.append((times, audio.duration))
     print(_json(asdict(measure_rtf(runs))))

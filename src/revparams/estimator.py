@@ -3,18 +3,23 @@
 Pipeline: audio -> log-mel spectrogram -> Gabor features -> per-frame class
 posteriors -> temporal average over the utterance -> winner-takes-all ->
 cell-center (T60, DRR) estimate.
+
+The front end is fixed: ``FrameParams()`` and one Gabor filterbank, built
+once by ``filterbank()`` and shared read-only. No call passes a front end.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .audio_io import AudioBuffer
 from .frontend import FrameParams, log_mel_spectrogram
-from .gabor import FeatureMatrix, GaborFilterbank, build_diagonal_filterbank, extract_features
+from .gabor import GaborFilterbank, build_diagonal_filterbank, extract_features
 from .grid import ClassGrid, ClassVocabulary, center_of
 from .mlp import MlpModel, forward
 
@@ -60,44 +65,51 @@ def decide(mean_posterior: np.ndarray, vocabulary: ClassVocabulary, grid: ClassG
     return class_id, t60_hat, drr_hat
 
 
-def filterbank_for(params: FrameParams) -> GaborFilterbank:
-    """The Gabor filterbank matching a front end's mel channels and frame rate."""
+_FILTERBANK_LOCK = threading.Lock()
+
+
+def filterbank() -> GaborFilterbank:
+    """The Gabor filterbank of the fixed front end, built once and shared,
+    read-only, by every caller and thread. The lock keeps concurrent first
+    calls (``--jobs`` workers) from each building one."""
+    with _FILTERBANK_LOCK:
+        return _build_filterbank()
+
+
+@lru_cache(maxsize=1)
+def _build_filterbank() -> GaborFilterbank:
+    params = FrameParams()
     return build_diagonal_filterbank(params.n_mels, params.frame_rate())
 
 
-def gabor_features(audio: AudioBuffer, bank: GaborFilterbank, params: FrameParams) -> FeatureMatrix:
-    """Audio -> log-mel spectrogram -> Gabor features, one row per frame."""
-    return extract_features(log_mel_spectrogram(audio, params), bank)
+def gabor_features(audio: AudioBuffer) -> np.ndarray:
+    """Audio -> log-mel spectrogram -> Gabor features, (T, 600): one row per frame."""
+    return extract_features(log_mel_spectrogram(audio, FrameParams()), filterbank()).values
 
 
 def pipeline_for(model: MlpModel) -> tuple:
-    """(filterbank, frame params) of the fixed front end a model reads."""
-    return filterbank_for(model.frame_params), model.frame_params
+    """(filterbank, frame params): the fixed front end, in ``estimate_utterance``'s form."""
+    return filterbank(), model.frame_params
 
 
-def frame_posteriors(
-    audio: AudioBuffer,
-    model: MlpModel,
-    bank: GaborFilterbank,
-    params: FrameParams,
-) -> tuple:
+def frame_posteriors(audio: AudioBuffer, model: MlpModel) -> tuple:
     """Per-frame class posteriors (T x C) and the wall-clock StageTimes
     that produced them.
 
     Raises, in this order, for a filterbank the model was not trained on,
     for audio below one frame ("input too short") and for constant audio.
     """
-    if bank.feature_dim != model.d:
-        raise ValueError(f"filterbank feature dim {bank.feature_dim} != model input dim {model.d}")
+    if filterbank().feature_dim != model.d:
+        raise ValueError(f"filterbank feature dim {filterbank().feature_dim} != model input dim {model.d}")
     t0 = time.perf_counter()
-    feats = gabor_features(audio, bank, params)
+    feats = gabor_features(audio)
     t1 = time.perf_counter()
     # Constant audio (silence or a DC offset) carries no reverberation cue,
     # yet the MLP still picks a cell.
     samples = audio.samples
     if not (samples != samples[0]).any():
         raise ValueError("silent input: every sample equals the first")
-    post = forward(model, feats.values)
+    post = forward(model, feats)
     t2 = time.perf_counter()
     return post, StageTimes(t1 - t0, t2 - t1)
 
@@ -118,9 +130,10 @@ def estimate_utterance(
     bank: GaborFilterbank,
     params: FrameParams,
 ) -> Estimate:
-    """Blind (T60, DRR) estimate for one utterance.
+    """Blind (T60, DRR) estimate for one utterance, as ``frame_posteriors``
+    gives it. ``bank`` and ``params`` are unused: the front end is fixed.
 
     Deterministic for fixed inputs; raises "input too short" for audio
     below one frame.
     """
-    return estimate_from_posteriors(frame_posteriors(audio, model, bank, params)[0], model)
+    return estimate_from_posteriors(frame_posteriors(audio, model)[0], model)

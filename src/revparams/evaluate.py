@@ -120,7 +120,7 @@ def _load_item_audio(item):
     return read_wav(item.path)
 
 
-def evaluate(items, model: MlpModel, bank, params, jobs: int = 1) -> EvalResult:
+def evaluate(items, model: MlpModel, jobs: int = 1) -> EvalResult:
     """Run the estimator over a list of CorpusItems and summarize errors by
     condition.
 
@@ -133,7 +133,7 @@ def evaluate(items, model: MlpModel, bank, params, jobs: int = 1) -> EvalResult:
         idx, item = pair
         try:
             audio = _load_item_audio(item)
-            post, times = frame_posteriors(audio, model, bank, params)
+            post, times = frame_posteriors(audio, model)
             est = estimate_from_posteriors(post, model)
         except (OSError, ValueError) as exc:
             return idx, str(exc)

@@ -99,7 +99,8 @@ class TimeKernelGroup:
 class GaborFilterbank:
     """The filters plus the linear operator that applies them all at once
     (``pad`` frames of edge padding per side, one ``TimeKernelGroup`` per run
-    of filters with the same temporal carrier), derived on construction."""
+    of filters with the same temporal carrier), derived on construction.
+    Its arrays are read-only, so one bank can serve every thread."""
 
     filters: tuple
     n_mels: int
@@ -163,6 +164,7 @@ def make_gabor_filter(spec: GaborFilterSpec, representative_channels: tuple = ()
     # pinned digests.
     real = raw - env * (raw.sum() / env.sum())
     kernel = real * (1.0 / np.linalg.norm(real)) + 0.0
+    kernel.flags.writeable = False
     return GaborFilter(spec, kernel, tuple(representative_channels))
 
 
@@ -224,6 +226,7 @@ def _time_kernel_groups(filters: tuple, n_mels: int, pad: int) -> tuple:
             blocks.append(np.einsum("ar,cam->rmc", f.coeffs @ basis.T, clamp))
         weights = np.concatenate(blocks, axis=2)
         stop = start + weights.shape[2]
+        taps.flags.writeable = weights.flags.writeable = False  # the reshaped view inherits it
         groups.append(TimeKernelGroup(slice(start, stop), taps, weights.reshape(-1, stop - start)))
         start = stop
     return tuple(groups)

@@ -72,8 +72,8 @@ class TrainConfig:
     validation_fraction: float = 0.1
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must be in [0, 1)")
         if self.batch_size < 1 or self.epochs < 1 or self.hidden_units < 1:
@@ -308,7 +308,8 @@ def train(
     feature normalizer on the training portion, then runs minibatch SGD
     with momentum. Returns the snapshot with the best validation
     cross-entropy (training cross-entropy when no validation split) and the
-    per-epoch history as a list of dicts. ``grid`` and ``frame_params``
+    per-epoch history as a list of dicts; raises ValueError when no epoch's
+    cross-entropy is finite. ``grid`` and ``frame_params``
     can only be the fixed ``ClassGrid()`` and ``FrameParams()``, which the
     model carries as class constants.
 
@@ -327,11 +328,14 @@ def train(
     n_classes = len(vocabulary)
     mats = []
     utt_labels = []
-    for features, class_id in dataset:
+    for i, (features, class_id) in enumerate(dataset):
         class_id = int(class_id)
         if not 0 <= class_id < n_classes:
             raise ValueError(f"class id {class_id} out of range for {n_classes} classes")
-        mats.append(np.atleast_2d(np.asarray(features, dtype=np.float32)))
+        mat = np.asarray(features, dtype=np.float32)
+        if mat.ndim != 2:
+            raise ValueError(f"utterance {i} has features of shape {mat.shape}, training needs (T, D)")
+        mats.append(mat)
         utt_labels.append(class_id)
     dim = mats[0].shape[1]
     if any(m.shape[1] != dim for m in mats):
@@ -399,6 +403,9 @@ def train(
             pending = epoch, snapshot, metrics
         collect(*pending)
 
+    # NaN never compares below the initial inf: the weights would be the untrained ones.
+    if best_score == np.inf:
+        raise ValueError("no epoch gave a finite cross-entropy: non-finite features, or training diverged")
     for key, value in best.items():
         setattr(model, key, _snap_f32(value))
     return model, history
@@ -491,7 +498,10 @@ def model_from_bytes(blob: bytes) -> MlpModel:
     (mlen,) = struct.unpack_from("<I", blob, len(MAGIC))
     if offset + mlen > len(blob):
         raise ValueError(f"model container truncated: its {mlen}-byte manifest runs past the end")
-    manifest = json.loads(blob[offset : offset + mlen].decode("utf-8"))
+    try:
+        manifest = json.loads(blob[offset : offset + mlen].decode("utf-8"))
+    except RecursionError:
+        raise ValueError("model manifest is nested too deeply to parse") from None
     offset += mlen
     if not isinstance(manifest, dict):
         raise ValueError("model manifest is not a JSON object")

@@ -151,7 +151,7 @@ def test_c6_desk_scale_end_to_end():
         # held-out utterances from the same (seen) rooms, all conditions
         test_speech = [rp.make_speech_like(1.6, seed=90_000 + i) for i in range(3 * len(rooms))]
         test_manifest = rp.build_corpus(test_speech, rirs, kinds, snrs, grid, seed=7)
-        result = rp.evaluate(test_manifest.items, model, bank, params)
+        result = rp.evaluate(test_manifest.items, model)
         assert not result.excluded
 
         hits = 0

@@ -267,6 +267,7 @@ def _set(section, key, value):
         (_set("filterbank", "frame_rate", 50.0), "'filterbank.frame_rate'"),
         (lambda blob: _edit_manifest(blob, lambda m: m.__setitem__("bogus", 1)), "unknown key 'bogus'"),
         (_set("dims", "d", True), "'dims.d'"),
+        (lambda blob: MAGIC + struct.pack("<I", 100_000) + b"[" * 100_000, "model manifest is nested too deeply"),
     ],
     ids=[
         "header",
@@ -292,6 +293,7 @@ def _set(section, key, value):
         "filterbank-value",
         "unknown-top-level-key",
         "dims-bool",
+        "deep-nesting",
     ],
 )
 def test_estimate_malformed_model_exits_2(corrupt, message, delta_wav, tmp_path, capsys):
@@ -313,6 +315,19 @@ def test_jobs_below_one_is_a_usage_error(command, jobs, capsys):
     }[command]
     assert main([command, *required, "--jobs", jobs]) == 1
     assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_train_non_finite_learning_rate_exits_2(rate, data_dirs, tmp_path, capsys):
+    speech_dir, rir_dir = data_dirs
+    corpus = tmp_path / "corpus"
+    argv = ["--speech-dir", str(speech_dir), "--rir-dir", str(rir_dir), "--noise", "none", "--out", str(corpus)]
+    assert main(["synth", *argv]) == 0
+    model_path = tmp_path / "m.rvpm"
+    argv = ["train", "--manifest", str(corpus / "manifest.csv"), "--out", str(model_path), "--lr", rate]
+    assert main(argv) == 2
+    assert "learning_rate" in capsys.readouterr().err
+    assert not model_path.exists()
 
 
 def test_train_help_exits_0(capsys):

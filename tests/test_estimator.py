@@ -1,27 +1,73 @@
+import dataclasses
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from conftest import make_model
+from revparams import estimator
 from revparams.audio_io import AudioBuffer
 from revparams.estimator import (
     decide,
     estimate_from_posteriors,
     estimate_utterance,
+    filterbank,
     frame_posteriors,
+    pipeline_for,
     temporal_average,
 )
-from revparams.frontend import FrameParams
 from revparams.gabor import build_diagonal_filterbank
 from revparams.grid import ClassGrid, ClassVocabulary, center_of
 
 GRID = ClassGrid()
 VOCAB = ClassVocabulary(((0, 0), (1, 2), (2, 4), (3, 6), (4, 8), (5, 10), (6, 12), (7, 14)))
-PARAMS = FrameParams()
-BANK = build_diagonal_filterbank()
 
 
 def full_model(seed=0):
     return make_model(d=600, h=16, c=len(VOCAB), seed=seed, vocabulary=VOCAB)
+
+
+def estimate(audio, model):
+    """The estimate command's path for one utterance."""
+    return estimate_from_posteriors(frame_posteriors(audio, model)[0], model)
+
+
+class TestFilterbank:
+    def test_one_shared_bank(self):
+        assert filterbank() is filterbank()
+        assert filterbank().feature_dim == 600
+
+    def test_concurrent_first_calls_build_one_bank(self, monkeypatch):
+        builds = []
+
+        def slow_build(*args):
+            builds.append(args)
+            time.sleep(0.05)  # hold every thread inside its first call
+            return build_diagonal_filterbank(*args)
+
+        monkeypatch.setattr(estimator, "build_diagonal_filterbank", slow_build)
+        estimator._build_filterbank.cache_clear()
+        try:
+            banks = []
+            threads = [threading.Thread(target=lambda: banks.append(filterbank())) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+        finally:
+            estimator._build_filterbank.cache_clear()
+        assert len(builds) == 1
+        assert len(banks) == 4 and all(bank is banks[0] for bank in banks)
+
+    def test_every_array_is_read_only(self):
+        bank = filterbank()
+        arrays = [f.coeffs for f in bank.filters] + [a for g in bank.groups for a in (g.taps, g.mel_weights)]
+        assert len(arrays) == 48 + 2 * 6
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 1.0
 
 
 class TestTemporalAverage:
@@ -78,15 +124,15 @@ class TestEstimateUtterance:
     def test_deterministic(self, rng):
         model = full_model()
         audio = AudioBuffer(0.1 * rng.standard_normal(16000))
-        e1 = estimate_utterance(audio, model, BANK, PARAMS)
-        e2 = estimate_utterance(audio, model, BANK, PARAMS)
+        e1 = estimate(audio, model)
+        e2 = estimate(audio, model)
         assert e1.class_id == e2.class_id
         np.testing.assert_array_equal(e1.mean_posterior, e2.mean_posterior)
 
     def test_estimate_fields_consistent(self, rng):
         model = full_model()
         audio = AudioBuffer(0.1 * rng.standard_normal(12000))
-        est = estimate_utterance(audio, model, BANK, PARAMS)
+        est = estimate(audio, model)
         assert est.n_frames == (12000 - 400) // 160 + 1
         assert (est.t60_hat, est.drr_hat) == center_of(GRID, VOCAB.cells[est.class_id])
         assert est.mean_posterior.sum() == pytest.approx(1.0, abs=1e-9)
@@ -96,8 +142,8 @@ class TestEstimateUtterance:
     def test_self_concatenation_preserves_interior_mean(self, rng):
         model = full_model(seed=3)
         x = 0.1 * rng.standard_normal(3 * 16000)
-        single, _ = frame_posteriors(AudioBuffer(x), model, BANK, PARAMS)
-        double, _ = frame_posteriors(AudioBuffer(np.concatenate([x, x])), model, BANK, PARAMS)
+        single, _ = frame_posteriors(AudioBuffer(x), model)
+        double, _ = frame_posteriors(AudioBuffer(np.concatenate([x, x])), model)
         t = single.shape[0]
         margin = 60  # beyond the widest temporal filter half-extent
         a = single[margin : t - margin].mean(axis=0)
@@ -106,15 +152,15 @@ class TestEstimateUtterance:
 
     def test_too_short_input_propagates(self):
         with pytest.raises(ValueError, match="input too short"):
-            estimate_utterance(AudioBuffer(np.zeros(100)), full_model(), BANK, PARAMS)
+            estimate(AudioBuffer(np.zeros(100)), full_model())
 
     def test_feature_dim_mismatch_raises(self, rng):
         model = make_model(d=10, h=4, c=len(VOCAB), vocabulary=VOCAB)
         with pytest.raises(ValueError, match="feature dim"):
-            estimate_utterance(AudioBuffer(np.zeros(16000)), model, BANK, PARAMS)
+            estimate(AudioBuffer(np.zeros(16000)), model)
 
     def test_timings_recorded(self, rng):
-        _, times = frame_posteriors(AudioBuffer(0.1 * rng.standard_normal(8000)), full_model(), BANK, PARAMS)
+        _, times = frame_posteriors(AudioBuffer(0.1 * rng.standard_normal(8000)), full_model())
         assert times.features_s > 0.0
         assert times.mlp_s > 0.0
         assert times.total_s == times.features_s + times.mlp_s
@@ -122,13 +168,21 @@ class TestEstimateUtterance:
     @pytest.mark.parametrize("level", [0.0, 0.1, -1.0, 3e38])
     def test_constant_input_raises(self, level):
         with pytest.raises(ValueError, match="silent input"):
-            frame_posteriors(AudioBuffer(np.full(8000, level)), full_model(), BANK, PARAMS)
+            frame_posteriors(AudioBuffer(np.full(8000, level)), full_model())
 
     def test_single_differing_sample_is_not_constant(self):
         x = np.full(8000, 0.1)
         x[-1] = 0.2
-        post, _ = frame_posteriors(AudioBuffer(x), full_model(), BANK, PARAMS)
+        post, _ = frame_posteriors(AudioBuffer(x), full_model())
         assert post.shape[0] == (8000 - 400) // 160 + 1
+
+    def test_four_argument_form_runs_the_estimate_path(self, rng):
+        model = full_model(seed=5)
+        audio = AudioBuffer(0.1 * rng.standard_normal(9000))
+        got = estimate_utterance(audio, model, *pipeline_for(model))
+        want = estimate(audio, model)
+        for field in dataclasses.fields(want):
+            np.testing.assert_array_equal(getattr(got, field.name), getattr(want, field.name))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_mean_posterior_raises(self, bad):

@@ -4,7 +4,7 @@ import pytest
 from conftest import make_model
 from revparams.audio_io import AudioBuffer
 from revparams.corpus import CorpusItem
-from revparams.estimator import StageTimes, pipeline_for
+from revparams.estimator import StageTimes
 from revparams.evaluate import boxplot_stats, evaluate, fps_to_rtf, measure_rtf
 from revparams.grid import ClassGrid, ClassVocabulary, center_of
 
@@ -102,9 +102,8 @@ class TestRtf:
 class TestEvaluate:
     def test_perfect_estimator_gives_zero_medians(self):
         model = sure_model(winner=1)
-        bank, params = pipeline_for(model)
         t60, drr = center_of(GRID, VOCAB.cells[1])
-        result = evaluate(items_with_truth(t60, drr), model, bank, params)
+        result = evaluate(items_with_truth(t60, drr), model)
         stats = result.stats[("ambient", 10.0)]
         assert stats["t60"].median == pytest.approx(0.0, abs=1e-12)
         assert stats["drr"].median == pytest.approx(0.0, abs=1e-12)
@@ -112,49 +111,44 @@ class TestEvaluate:
 
     def test_constant_bias_appears_in_median(self):
         model = sure_model(winner=1)
-        bank, params = pipeline_for(model)
         t60, drr = center_of(GRID, VOCAB.cells[1])
-        result = evaluate(items_with_truth(t60 - 0.1, drr), model, bank, params)
+        result = evaluate(items_with_truth(t60 - 0.1, drr), model)
         assert result.stats[("ambient", 10.0)]["t60"].median == pytest.approx(0.1, abs=1e-9)
 
     def test_grouping_is_order_invariant(self):
         model = sure_model(winner=0)
-        bank, params = pipeline_for(model)
         t60, drr = center_of(GRID, VOCAB.cells[0])
         items = items_with_truth(t60, drr, n=3, kind="fan", snr=0.0) + items_with_truth(
             t60, drr, n=3, kind="babble", snr=20.0, seed=3
         )
-        fwd = evaluate(items, model, bank, params)
-        rev = evaluate(items[::-1], model, bank, params)
+        fwd = evaluate(items, model)
+        rev = evaluate(items[::-1], model)
         for key in fwd.stats:
             assert fwd.stats[key]["t60"].median == rev.stats[key]["t60"].median
             assert fwd.stats[key]["drr"].n == rev.stats[key]["drr"].n
 
     def test_groups_are_ordered_by_snr_as_a_number(self):
         model = sure_model(winner=0)
-        bank, params = pipeline_for(model)
         t60, drr = center_of(GRID, VOCAB.cells[0])
         items = [item for snr in (10.0, 5.0, 0.0) for item in items_with_truth(t60, drr, n=1, snr=snr)]
         items += items_with_truth(t60, drr, n=1, kind="none", snr=None)
-        result = evaluate(items, model, bank, params)
+        result = evaluate(items, model)
         assert list(result.stats) == [("ambient", 0.0), ("ambient", 5.0), ("ambient", 10.0), ("none", None)]
 
     def test_unreadable_item_is_excluded_not_fatal(self):
         model = sure_model(winner=0)
-        bank, params = pipeline_for(model)
         t60, drr = center_of(GRID, VOCAB.cells[0])
         items = items_with_truth(t60, drr, n=2)
         items.append(CorpusItem("/nonexistent/missing.wav", None, 0, "ambient", 10.0, t60, drr, 0))
-        result = evaluate(items, model, bank, params)
+        result = evaluate(items, model)
         assert len(result.records) == 2
         assert len(result.excluded) == 1
         assert result.excluded[0][0] == 2
 
     def test_records_carry_timing(self):
         model = sure_model(winner=0)
-        bank, params = pipeline_for(model)
         t60, drr = center_of(GRID, VOCAB.cells[0])
-        result = evaluate(items_with_truth(t60, drr, n=2), model, bank, params)
+        result = evaluate(items_with_truth(t60, drr, n=2), model)
         for record in result.records:
             assert record.times.features_s > 0.0
             assert record.times.mlp_s > 0.0
@@ -164,23 +158,21 @@ class TestEvaluate:
 
     def test_no_estimable_item_gives_no_rtf(self):
         model = sure_model(winner=0)
-        bank, params = pipeline_for(model)
         t60, drr = center_of(GRID, VOCAB.cells[0])
-        assert evaluate([], model, bank, params).rtf is None
+        assert evaluate([], model).rtf is None
         items = [CorpusItem(None, AudioBuffer(np.full(6400, 0.1)), 0, "ambient", 10.0, t60, drr, 0)]
-        result = evaluate(items, model, bank, params)
+        result = evaluate(items, model)
         assert result.records == [] and result.rtf is None
         assert result.excluded == [(0, "silent input: every sample equals the first")]
 
     def test_parallel_jobs_match_serial(self):
         model = sure_model(winner=2)
-        bank, params = pipeline_for(model)
         t60, drr = center_of(GRID, VOCAB.cells[2])
         items = items_with_truth(t60, drr, n=4)
         items.insert(1, CorpusItem("/nonexistent/missing.wav", None, 0, "ambient", 10.0, t60, drr, 2))
         items.insert(3, CorpusItem(None, AudioBuffer(np.zeros(6400)), 0, "ambient", 10.0, t60, drr, 2))
-        serial = evaluate(items, model, bank, params, jobs=1)
-        parallel = evaluate(items, model, bank, params, jobs=3)
+        serial = evaluate(items, model, jobs=1)
+        parallel = evaluate(items, model, jobs=3)
         assert [r.e_t60 for r in serial.records] == [r.e_t60 for r in parallel.records]
         assert [r.item_id for r in serial.records] == [0, 2, 4, 5]
         assert serial.excluded == parallel.excluded

@@ -414,13 +414,33 @@ class TestTrain:
         for key in ("w1", "b1", "w2", "b2"):
             np.testing.assert_array_equal(getattr(m1, key), getattr(m2, key))
 
-    def test_out_of_range_class_raises(self, rng):
-        with pytest.raises(ValueError, match="class id"):
-            train([(rng.standard_normal((10, 4)), 2)], self.CFG, ClassGrid(), VOCAB2)
+    @pytest.mark.parametrize(
+        "shapes, class_ids, message",
+        [
+            ([], [], "empty training dataset"),
+            ([(10, 4)], [2], "class id 2 out of range"),
+            ([(10, 4), (10, 5)], [0, 1], "inconsistent feature dimensions"),
+            ([(10, 4), (4,)], [0, 1], r"utterance 1 has features of shape \(4,\)"),
+            ([(10, 4), (1, 10, 4)], [0, 1], r"utterance 1 has features of shape \(1, 10, 4\)"),
+        ],
+        ids=["empty", "class-out-of-range", "mixed-dims", "1-d", "3-d"],
+    )
+    def test_bad_dataset_raises(self, shapes, class_ids, message, rng):
+        dataset = [(rng.standard_normal(shape), class_id) for shape, class_id in zip(shapes, class_ids)]
+        with pytest.raises(ValueError, match=message):
+            train(dataset, self.CFG, ClassGrid(), VOCAB2)
 
-    def test_empty_dataset_raises(self):
-        with pytest.raises(ValueError):
-            train([], self.CFG, ClassGrid(), VOCAB2)
+    @pytest.mark.parametrize("rate", [np.nan, np.inf])
+    def test_non_finite_learning_rate_is_refused(self, rate):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=rate)
+
+    def test_no_finite_epoch_raises(self, rng):
+        # one NaN entry makes every epoch's score NaN, through the normalizer or the validation pass
+        data, _, _ = blob_dataset(rng)
+        data[0][0][3, 1] = np.nan
+        with pytest.raises(ValueError, match="no epoch gave a finite cross-entropy"):
+            train(data, self.CFG, ClassGrid(), VOCAB2)
 
 
 class TestMetricsThread:
