@@ -22,12 +22,13 @@ from scipy.io.wavfile import WavFileWarning
 
 from .acoustics import Rir, compute_drr, estimate_t60_from_edc, schroeder_edc
 from .audio_io import read_wav
-from .corpus import NOISE_KINDS, _map, build_corpus, read_manifest_items
+from .corpus import NOISE_KINDS, build_corpus, read_manifest_items
 from .estimator import estimate_from_posteriors, filterbank, frame_posteriors, gabor_features
 from .evaluate import evaluate, measure_rtf
 from .gabor import export_filterbank
 from .grid import ClassGrid, build_vocabulary, cell_of
 from .mlp import TrainConfig, load_model, save_model, train
+from .parallel import map_items
 
 
 class _Parser(argparse.ArgumentParser):
@@ -184,13 +185,18 @@ def cmd_estimate(args) -> int:
         os.makedirs(args.per_frame, exist_ok=True)
 
     def run_one(path):
-        post, _ = frame_posteriors(read_wav(path, channel=args.channel), model)
+        post, times = frame_posteriors(read_wav(path, channel=args.channel), model)
         if args.per_frame:
             np.savetxt(csvs[path], post, delimiter=",")
-        return estimate_from_posteriors(post, model)
+        return estimate_from_posteriors(post, model), times
 
-    for path, est in zip(args.inputs, _map(run_one, args.inputs, args.jobs)):
+    for path, (est, times) in zip(args.inputs, map_items(run_one, args.inputs, args.jobs)):
         print(f"{path}\t{est.t60_hat:.3f}\t{est.drr_hat:.1f}\t{est.class_id}\t{est.n_frames}")
+        if args.verbose:
+            _log(
+                f"{path}\tframes={est.n_frames}"
+                f"\tfeatures_ms={1e3 * times.features_s:.3f}\tmlp_ms={1e3 * times.mlp_s:.3f}"
+            )
     return 0
 
 
@@ -250,7 +256,9 @@ def cmd_bench(args) -> int:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="revparams", description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=42, help="seed for all stochastic steps")
-    parser.add_argument("-v", "--verbose", action="count", default=0)
+    parser.add_argument(
+        "-v", "--verbose", action="count", default=0, help="estimate: each input's frames and stage times on stderr"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("filters", help="export the Gabor filterbank for inspection")
@@ -305,7 +313,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("bench", help="measure single-threaded real-time factor")
+    p = sub.add_parser("bench", help="real-time factor of the estimate path, one file at a time")
     p.add_argument("--model", required=True)
     p.add_argument("--audio-dir", required=True)
     p.set_defaults(func=cmd_bench)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,7 @@ from scipy.signal import butter, fftconvolve, lfilter
 from .acoustics import Rir, compute_drr, estimate_t60_from_edc, schroeder_edc
 from .audio_io import SAMPLE_RATE, AudioBuffer, write_wav_pcm16
 from .grid import ClassGrid, ClassVocabulary, build_vocabulary, cell_of
+from .parallel import map_items
 
 NOISE_KINDS = ("ambient", "babble", "fan", "none")
 
@@ -164,14 +164,6 @@ def _render_item(utt: AudioBuffer, rir: Rir, kind: str, snr, child_seed) -> Audi
     return wet
 
 
-def _map(fn, items, jobs: int) -> list:
-    """``[fn(item) for item in items]`` in order, over ``jobs`` threads."""
-    if jobs == 1:
-        return [fn(item) for item in items]
-    with futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def build_corpus(
     speech,
     rirs,
@@ -221,7 +213,7 @@ def build_corpus(
         i, rir_id, kind, snr, child = task
         return _render_item(speech[i], rirs[rir_id], kind, snr, child)
 
-    rendered = _map(render, tasks, jobs)
+    rendered = map_items(render, tasks, jobs)
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

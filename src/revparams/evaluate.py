@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio_io import read_wav
-from .corpus import _map
 from .estimator import StageTimes, estimate_from_posteriors, frame_posteriors
 from .mlp import MlpModel
+from .parallel import map_items
 
 FRAMES_PER_SECOND_NOMINAL = 100.0  # 10 ms hop
 
@@ -151,7 +151,7 @@ def evaluate(items, model: MlpModel, jobs: int = 1) -> EvalResult:
             times=times,
         )
 
-    results = _map(run_one, enumerate(items), jobs)
+    results = map_items(run_one, enumerate(items), jobs)
     records = [r for r in results if isinstance(r, EvalRecord)]
     excluded = [r for r in results if not isinstance(r, EvalRecord)]
 

@@ -29,6 +29,12 @@ the bank is built:
   extent and transformed with one rfft. Each group multiplies it by its
   time-kernel spectra, transforms back, and applies its mel matrix.
 
+Each group writes its own output columns. On the main thread, for more
+than BLOCK_ROWS frames and when ``parallel.two_cores()`` holds, the caller
+runs the first half of the groups and one helper thread the second half
+(``parallel.split``), sharing the one rfft read-only; the bits are those
+of the serial loop.
+
 Kernels have exactly zero coefficient sum and the padding replicates
 edges, so the features reject any constant offset of the log-mel
 spectrogram (e.g. per-utterance gain).
@@ -43,6 +49,7 @@ from itertools import groupby
 import numpy as np
 from scipy.fft import next_fast_len
 
+from . import parallel
 from .frontend import LogMelSpectrogram
 
 TEMPORAL_MOD_HZ = (2.4, 3.9, 6.2, 9.9, 15.7, 25.0)
@@ -248,11 +255,14 @@ def extract_features(spec: LogMelSpectrogram, bank: GaborFilterbank) -> FeatureM
     n_fft = next_fast_len(n_frames + 2 * pad, real=True)
     spectrum = np.fft.rfft(np.pad(values, ((pad, pad), (0, 0)), mode="edge"), n_fft, axis=0)
     out = np.empty((n_frames, bank.feature_dim))
-    for group in bank.groups:
+
+    def apply(group):
         kernel_spectra = np.fft.rfft(group.taps, n_fft, axis=1).conj().T
         product = (spectrum[:, None, :] * kernel_spectra[:, :, None]).reshape(len(spectrum), -1)
         filtered = np.fft.irfft(product, n_fft, axis=0)[:n_frames]
         out[:, group.columns] = filtered @ group.mel_weights
+
+    parallel.split(apply, bank.groups, n_frames)
     return FeatureMatrix(out)
 
 

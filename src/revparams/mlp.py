@@ -19,22 +19,23 @@ sums through one (BLOCK_ROWS + 1, D) float64 buffer. `train` therefore
 holds the training set in float32 plus one float64 block, never a float64
 copy of the set. Both give the same bits as one pass over all rows.
 
-`train` overlaps each epoch's metrics pass with the next epoch's SGD on
-one helper thread, but only when the loaded BLAS runs one thread and the
-process may use two or more CPUs; otherwise the pass runs inline. The
-pass reads a copy of the epoch's weights and no random state, and each
-single-threaded BLAS call gives the same bits on any thread, so the
-output bits are identical either way.
+On the main thread, `forward` runs the first half of its row blocks
+while one helper thread runs the second (``parallel.split``), for inputs
+of more than BLOCK_ROWS rows when ``parallel.two_cores()`` holds: the
+loaded BLAS runs one thread and the process may use two or more CPUs.
+Under the same gate `train` overlaps each epoch's metrics pass with the
+next epoch's SGD on one helper thread; otherwise the pass runs inline.
+The pass reads a copy of the epoch's weights and no random state, each
+block writes only its own rows, and each single-threaded BLAS call gives
+the same bits on any thread, so the output bits are identical either way.
 """
 
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import dataclasses
 import json
 import math
-import os
 import struct
 from concurrent import futures
 from dataclasses import dataclass
@@ -42,6 +43,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from . import parallel
 from .frontend import BLOCK_ROWS, FrameParams, row_blocks
 from .grid import ClassGrid, ClassVocabulary, center_of
 
@@ -181,14 +183,14 @@ def forward(model: MlpModel, features: np.ndarray) -> np.ndarray:
 
     Runs the ``row_blocks`` of the input, each written into the one
     (T, C) result, which equals one pass over all rows; tests/test_mlp.py
-    (``test_forward_matches_reference``) checks that bit for bit.
+    (``test_forward_matches_reference``) checks that bit for bit. The
+    blocks are shared with a helper thread as ``parallel.split`` decides.
     """
     x = np.asarray(features)
     if x.ndim != 2 or x.shape[1] != model.d:
         raise ValueError(f"features of shape {x.shape}, model input needs (T, {model.d})")
     post = np.empty((len(x), model.c))
-    for rows, out in row_blocks(x, post):
-        _forward_parts(model, rows, out=out)
+    parallel.split(lambda block: _forward_parts(model, *block), row_blocks(x, post), len(x))
     return post
 
 
@@ -252,40 +254,6 @@ def _epoch_metrics(model: MlpModel, x_train, y_train, x_val, y_val) -> dict:
     return {"train_ce": train_ce, "train_acc": train_acc, "val_ce": val_ce, "val_acc": val_acc}
 
 
-# numpy and scipy bundle OpenBLAS builds with prefixed and 64-bit-index names.
-_OPENBLAS_THREAD_GETTERS = [f"{p}get_num_threads{s}" for p in ("scipy_openblas_", "openblas_") for s in ("64_", "")]
-
-
-def _blas_threads() -> int | None:
-    """The thread count that every OpenBLAS mapped into this process reports
-    (numpy and scipy each bundle one), or None when there is none, they
-    disagree, or one cannot be asked."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = {line.split()[-1] for line in fh}
-        counts = set()
-        for path in (p for p in paths if "openblas" in os.path.basename(p).lower()):
-            lib = ctypes.CDLL(path)
-            getter = next((getattr(lib, name) for name in _OPENBLAS_THREAD_GETTERS if hasattr(lib, name)), None)
-            if getter is None:
-                return None
-            getter.argtypes = []
-            getter.restype = ctypes.c_int
-            counts.add(getter())
-    except OSError:
-        return None
-    return counts.pop() if len(counts) == 1 else None
-
-
-def _metrics_in_thread() -> bool:
-    """Whether ``train`` runs the metrics pass on a helper thread: only when
-    BLAS runs one thread and this process may use at least two CPUs. Two
-    callers of a multi-threaded BLAS oversubscribe the cores and run slower
-    than one."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return cpus >= 2 and _blas_threads() == 1
-
-
 def _submit(pool, fn, *args):
     """Start ``fn(*args)`` on ``pool``, or run it now when ``pool`` is None.
     Returns a callable that gives the result or raises ``fn``'s exception."""
@@ -314,7 +282,7 @@ def train(
     model carries as class constants.
 
     Each epoch's metrics pass runs on a copy of that epoch's weights; when
-    ``_metrics_in_thread()`` holds, on a helper thread while the next
+    ``parallel.two_cores()`` holds, on a helper thread while the next
     epoch's SGD runs. Results are collected in epoch order, so at most two
     copies are alive, and an exception in the pass reaches the caller.
 
@@ -382,7 +350,7 @@ def train(
         if score < best_score:
             best_score, best = score, snapshot
 
-    helper = futures.ThreadPoolExecutor(1, thread_name_prefix="revparams-metrics") if _metrics_in_thread() else None
+    helper = futures.ThreadPoolExecutor(1, thread_name_prefix="revparams-metrics") if parallel.two_cores() else None
     with helper or contextlib.nullcontext():
         pending = None
         for epoch in range(config.epochs):

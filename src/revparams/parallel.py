@@ -1,0 +1,101 @@
+"""The threading policy: when work runs on a second core, and the item map.
+
+One gate, ``two_cores()``: the loaded OpenBLAS runs one thread and the
+process may use two or more CPUs. Two callers of a multi-threaded BLAS
+oversubscribe the cores and run slower than one. It is evaluated once per
+process.
+
+- ``split`` runs the independent parts of one stage (the Gabor groups, the
+  MLP row blocks) on the calling thread and one helper thread. It splits
+  only on the main thread, for inputs of more than BLOCK_ROWS frames, and
+  when ``two_cores()`` holds; otherwise it is a plain loop. ``--jobs``
+  workers, ``train``'s metrics thread and the helper itself never split,
+  so no pool is ever nested.
+- ``train`` runs its metrics pass on a helper thread when ``two_cores()``
+  holds.
+- ``map_items`` runs one function over the items of ``--jobs`` commands.
+
+Each part is computed as in the serial loop and writes its own slice of
+the result, and a single-threaded BLAS call gives the same bits on any
+thread, so every output bit is the same whichever path runs.
+"""
+
+from __future__ import annotations
+
+import contextvars
+import ctypes
+import os
+import threading
+from concurrent import futures
+from functools import lru_cache
+
+from .frontend import BLOCK_ROWS
+
+# numpy and scipy bundle OpenBLAS builds with prefixed and 64-bit-index names.
+_OPENBLAS_THREAD_GETTERS = [f"{p}get_num_threads{s}" for p in ("scipy_openblas_", "openblas_") for s in ("64_", "")]
+
+
+def _blas_threads() -> int | None:
+    """The thread count that every OpenBLAS mapped into this process reports
+    (numpy and scipy each bundle one), or None when there is none, they
+    disagree, or one cannot be asked."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh}
+        counts = set()
+        for path in (p for p in paths if "openblas" in os.path.basename(p).lower()):
+            lib = ctypes.CDLL(path)
+            getter = next((getattr(lib, name) for name in _OPENBLAS_THREAD_GETTERS if hasattr(lib, name)), None)
+            if getter is None:
+                return None
+            getter.argtypes = []
+            getter.restype = ctypes.c_int
+            counts.add(getter())
+    except OSError:
+        return None
+    return counts.pop() if len(counts) == 1 else None
+
+
+@lru_cache(maxsize=1)
+def two_cores() -> bool:
+    """Whether a second thread may run BLAS-bound work: only when BLAS runs
+    one thread and this process may use at least two CPUs. Asked once per
+    process; OpenBLAS fixes its thread count when it loads."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return cpus >= 2 and _blas_threads() == 1
+
+
+def split(fn, items, n_rows: int) -> None:
+    """``for item in items: fn(item)``, with the caller running the first
+    half of ``items`` and one helper thread the second half, when the input
+    has more than BLOCK_ROWS rows, the caller is the main thread and
+    ``two_cores()`` holds; otherwise a plain loop on the caller.
+
+    Each ``fn(item)`` must write only its own part of the result. The
+    helper runs in a copy of the caller's context (numpy's error state
+    included), an exception in either half reaches the caller, and
+    ``split`` returns or raises only after the helper has finished.
+    """
+    items = list(items)
+    if n_rows <= BLOCK_ROWS or threading.current_thread() is not threading.main_thread() or not two_cores():
+        for item in items:
+            fn(item)
+        return
+
+    def run(part):
+        for item in part:
+            fn(item)
+
+    half = (len(items) + 1) // 2
+    with futures.ThreadPoolExecutor(1, thread_name_prefix="revparams-split") as helper:
+        second = helper.submit(contextvars.copy_context().run, run, items[half:])
+        run(items[:half])
+        second.result()
+
+
+def map_items(fn, items, jobs: int) -> list:
+    """``[fn(item) for item in items]`` in order, over ``jobs`` threads."""
+    if jobs == 1:
+        return [fn(item) for item in items]
+    with futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))

@@ -25,6 +25,17 @@ def make_model(d=5, h=3, c=2, seed=0, normalizer=None, vocabulary=None):
     )
 
 
+def seeded_model(d=600, h=256, c=168, seed=11):
+    """Model of the estimator's size with a non-trivial normalizer and
+    weights scaled so hidden units span saturated and linear regimes."""
+    rng = np.random.default_rng(seed)
+    norm = FeatureNormalizer(rng.standard_normal(d), rng.uniform(0.5, 2.0, d))
+    model = make_model(d=d, h=h, c=c, seed=seed, normalizer=norm)
+    model.w1 *= 0.15
+    model.w2 *= 0.5
+    return model
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -370,6 +370,30 @@ def test_bad_synth_argument_is_a_usage_error(flag, value, capsys):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
+def test_estimate_verbose_writes_one_stderr_line_per_input(jobs, tmp_path, model_600, capsys):
+    wavs = []
+    for i, seconds in enumerate((0.5, 1.3, 0.8)):
+        wavs.append(str(tmp_path / f"in{i}.wav"))
+        write_wav_pcm16(wavs[-1], make_speech_like(seconds, seed=40 + i))
+    argv = ["estimate", *wavs, "--model", str(model_600), "--jobs", jobs]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert main(["-v", *argv]) == 0
+    verbose = capsys.readouterr()
+    assert verbose.out == plain.out
+    assert plain.err == ""
+    lines = verbose.err.splitlines()
+    assert len(lines) == len(wavs)
+    for line, wav, out_line in zip(lines, wavs, plain.out.splitlines()):
+        path, *fields = line.split("\t")
+        values = dict(field.split("=") for field in fields)
+        assert path == wav
+        assert set(values) == {"frames", "features_ms", "mlp_ms"}
+        assert values["frames"] == out_line.split("\t")[-1]
+        assert float(values["features_ms"]) > 0 and float(values["mlp_ms"]) > 0
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
 def test_estimate_per_frame_refuses_inputs_sharing_a_csv(jobs, tmp_path, model_600, monkeypatch, capsys):
     wavs = [tmp_path / "a" / "x.wav", tmp_path / "b" / "x.wav"]
     for seed, wav in enumerate(wavs):

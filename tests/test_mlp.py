@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_model
-from revparams import mlp
+from conftest import make_model, seeded_model
+from revparams import mlp, parallel
 from revparams.frontend import FrameParams
 from revparams.grid import ClassGrid, ClassVocabulary
 from revparams.mlp import (
@@ -153,23 +153,12 @@ def reference_train(dataset, config, n_classes):
 def metrics_thread(request, monkeypatch):
     """Forces ``train``'s metrics pass onto the helper thread or inline,
     whatever this machine's BLAS and CPUs would select."""
-    monkeypatch.setattr(mlp, "_metrics_in_thread", lambda: request.param)
+    monkeypatch.setattr(parallel, "two_cores", lambda: request.param)
     return request.param
 
 
 def metrics_threads_alive():
     return [t for t in threading.enumerate() if t.name.startswith("revparams-metrics")]
-
-
-def seeded_model(d=600, h=256, c=168, seed=11):
-    """Model of the estimator's size with a non-trivial normalizer and
-    weights scaled so hidden units span saturated and linear regimes."""
-    rng = np.random.default_rng(seed)
-    norm = FeatureNormalizer(rng.standard_normal(d), rng.uniform(0.5, 2.0, d))
-    model = make_model(d=d, h=h, c=c, seed=seed, normalizer=norm)
-    model.w1 *= 0.15
-    model.w2 *= 0.5
-    return model
 
 
 class TestBitExactHotPath:
@@ -235,7 +224,7 @@ class TestBitExactHotPath:
             )
             best, ref_history = reference_train(data, cfg, n_classes)
             for in_thread in (True, False):
-                monkeypatch.setattr(mlp, "_metrics_in_thread", lambda in_thread=in_thread: in_thread)
+                monkeypatch.setattr(parallel, "two_cores", lambda in_thread=in_thread: in_thread)
                 case = f"epochs={epochs} validation_fraction={validation_fraction} in_thread={in_thread}"
                 model, history = train(data, cfg, ClassGrid(), vocab)
                 np.testing.assert_equal(history, ref_history, err_msg=case)  # exact; NaN equals NaN
@@ -396,7 +385,7 @@ class TestTrain:
         x_val = np.concatenate([np.asarray(data[i][0]) for i in order[:n_val]])
         y_val = np.concatenate([np.full(len(data[i][0]), data[i][1]) for i in order[:n_val]])
         for in_thread in (True, False):
-            monkeypatch.setattr(mlp, "_metrics_in_thread", lambda in_thread=in_thread: in_thread)
+            monkeypatch.setattr(parallel, "two_cores", lambda in_thread=in_thread: in_thread)
             model, history = train(data, self.CFG, ClassGrid(), VOCAB2)
             # running minimum of the loss history never increases
             mins = np.minimum.accumulate([h["val_ce"] for h in history])
@@ -482,9 +471,9 @@ class TestMetricsThread:
         [(1, {0, 1}, True), (1, {0, 1, 2, 3}, True), (1, {0}, False), (2, {0, 1}, False), (None, {0, 1}, False)],
     )
     def test_selection_needs_one_blas_thread_and_two_cpus(self, blas_threads, cpus, selected, monkeypatch):
-        monkeypatch.setattr(mlp, "_blas_threads", lambda: blas_threads)
+        monkeypatch.setattr(parallel, "_blas_threads", lambda: blas_threads)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-        assert mlp._metrics_in_thread() is selected
+        assert parallel.two_cores.__wrapped__() is selected  # uncached: the process's answer stays as it is
 
     def test_blas_threads_reads_the_loaded_openblas(self):
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -492,7 +481,7 @@ class TestMetricsThread:
         if "openblas" not in str(blas.get("name")) or not pinned or not hasattr(os, "sched_getaffinity"):
             pytest.skip("needs numpy on OpenBLAS, OPENBLAS_NUM_THREADS set and sched_getaffinity")
         # OpenBLAS caps the requested count at the CPUs it may use
-        assert mlp._blas_threads() == min(int(pinned), len(os.sched_getaffinity(0)))
+        assert parallel._blas_threads() == min(int(pinned), len(os.sched_getaffinity(0)))
 
 
 class TestSerialization:
