@@ -195,7 +195,8 @@ def cmd_estimate(args) -> int:
         if args.verbose:
             _log(
                 f"{path}\tframes={est.n_frames}"
-                f"\tfeatures_ms={1e3 * times.features_s:.3f}\tmlp_ms={1e3 * times.mlp_s:.3f}"
+                f"\tlogmel_ms={1e3 * times.logmel_s:.3f}\tgabor_ms={1e3 * times.gabor_s:.3f}"
+                f"\tmlp_ms={1e3 * times.mlp_s:.3f}"
             )
     return 0
 

@@ -35,15 +35,17 @@ class Estimate:
 
 @dataclass(frozen=True)
 class StageTimes:
-    """Wall-clock seconds of one utterance's two timed stages: audio to
-    Gabor features, and the MLP forward pass."""
+    """Wall-clock seconds of one utterance's three timed stages: audio to
+    log-mel spectrogram, log-mel to Gabor features, and the MLP forward
+    pass."""
 
-    features_s: float
+    logmel_s: float
+    gabor_s: float
     mlp_s: float
 
     @property
     def total_s(self) -> float:
-        return self.features_s + self.mlp_s
+        return self.logmel_s + self.gabor_s + self.mlp_s
 
 
 def temporal_average(posteriors: np.ndarray) -> np.ndarray:
@@ -101,17 +103,21 @@ def frame_posteriors(audio: AudioBuffer, model: MlpModel) -> tuple:
     """
     if filterbank().feature_dim != model.d:
         raise ValueError(f"filterbank feature dim {filterbank().feature_dim} != model input dim {model.d}")
-    t0 = time.perf_counter()
-    feats = gabor_features(audio)
-    t1 = time.perf_counter()
+    params = FrameParams()
     # Constant audio (silence or a DC offset) carries no reverberation cue,
-    # yet the MLP still picks a cell.
+    # yet the MLP still picks a cell. Refused before the front end runs;
+    # audio below one frame is left to its "input too short".
     samples = audio.samples
-    if not (samples != samples[0]).any():
+    if len(samples) >= params.frame_len and not (samples != samples[0]).any():
         raise ValueError("silent input: every sample equals the first")
-    post = forward(model, feats)
+    t0 = time.perf_counter()
+    spec = log_mel_spectrogram(audio, params)
+    t1 = time.perf_counter()
+    feats = extract_features(spec, filterbank()).values
     t2 = time.perf_counter()
-    return post, StageTimes(t1 - t0, t2 - t1)
+    post = forward(model, feats)
+    t3 = time.perf_counter()
+    return post, StageTimes(t1 - t0, t2 - t1, t3 - t2)
 
 
 def estimate_from_posteriors(posteriors: np.ndarray, model: MlpModel) -> Estimate:

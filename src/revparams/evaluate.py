@@ -97,7 +97,8 @@ def measure_rtf(runs) -> RtfReport:
         raise ValueError("every run needs positive audio duration")
     proc = np.asarray([t.total_s for t, _ in runs])
     stage_rtf = {
-        "features": float(np.mean(np.asarray([t.features_s for t, _ in runs]) / audio)),
+        "logmel": float(np.mean(np.asarray([t.logmel_s for t, _ in runs]) / audio)),
+        "gabor": float(np.mean(np.asarray([t.gabor_s for t, _ in runs]) / audio)),
         "mlp_forward": float(np.mean(np.asarray([t.mlp_s for t, _ in runs]) / audio)),
     }
     fps = FRAMES_PER_SECOND_NOMINAL * audio.sum() / proc.sum() if proc.sum() > 0 else float("inf")

@@ -6,6 +6,12 @@ filters between 64 Hz and 8 kHz, natural log with an energy floor.
 
 No pre-emphasis and no mean subtraction happen here; feature normalization
 lives entirely in the classifier.
+
+The frames are processed in ``parallel.row_blocks``, each block writing its
+own rows of the spectrogram. On the main thread, for more than
+``parallel.BLOCK_ROWS`` frames and when ``parallel.two_cores()`` holds, the
+caller runs the first half of the blocks and one helper thread the second
+half (``parallel.split``); the bits are those of the serial loop.
 """
 
 from __future__ import annotations
@@ -15,7 +21,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import parallel
 from .audio_io import SAMPLE_RATE, AudioBuffer
+from .parallel import row_blocks
 
 
 @dataclass(frozen=True, init=False)
@@ -52,23 +60,6 @@ def hz_to_mel(f):
 
 def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
-
-
-BLOCK_ROWS = 1024
-
-
-def row_blocks(*arrays):
-    """Zip of matching near-equal row blocks of ``arrays``, which share a
-    row count T: one block when T <= BLOCK_ROWS, else ceil(T / BLOCK_ROWS)
-    blocks of at least BLOCK_ROWS // 2 rows each.
-
-    With OpenBLAS on one thread a matmul row does not depend on the other
-    rows of a block of more than 100 rows, so blocked matmuls give the
-    bits of one pass over all rows. A fixed BLOCK_ROWS stride would leave
-    a short last block, which can differ in the last bits.
-    """
-    n_blocks = max(1, -(-len(arrays[0]) // BLOCK_ROWS))
-    return zip(*(np.array_split(a, n_blocks) for a in arrays))
 
 
 @lru_cache(maxsize=1)
@@ -123,14 +114,19 @@ def log_mel_spectrogram(audio: AudioBuffer, params: FrameParams = FrameParams())
     """Full front end: framing, Hann window, power FFT, mel filtering, natural log.
 
     Every output entry is >= ln(log_floor). Works through ``row_blocks``,
-    so the FFT and mel temporaries stay cache-sized; the bits equal one
-    pass over all frames.
+    shared with a helper thread as ``parallel.split`` decides, so the FFT
+    and mel temporaries stay cache-sized; the bits equal one pass over all
+    frames.
     """
     frames = frame_signal(audio, params)
     bank_t = mel_filterbank(params).T
     values = np.empty((len(frames), params.n_mels))
-    for rows, out in row_blocks(frames, values):
+
+    def block(rows_out):
+        rows, out = rows_out
         np.matmul(power_spectrum(rows, params), bank_t, out=out)
         np.maximum(out, params.log_floor, out=out)
         np.log(out, out=out)
+
+    parallel.split(block, row_blocks(frames, values), len(frames))
     return LogMelSpectrogram(values)

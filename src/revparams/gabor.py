@@ -30,10 +30,11 @@ the bank is built:
   time-kernel spectra, transforms back, and applies its mel matrix.
 
 Each group writes its own output columns. On the main thread, for more
-than BLOCK_ROWS frames and when ``parallel.two_cores()`` holds, the caller
-runs the first half of the groups and one helper thread the second half
-(``parallel.split``), sharing the one rfft read-only; the bits are those
-of the serial loop.
+than ``parallel.BLOCK_ROWS`` frames and when ``parallel.two_cores()``
+holds, the caller runs the first half of the groups and one helper thread
+the second half (``parallel.split``, as log-mel and the MLP do with their
+row blocks), sharing the one rfft read-only; the bits are those of the
+serial loop.
 
 Kernels have exactly zero coefficient sum and the padding replicates
 edges, so the features reject any constant offset of the log-mel

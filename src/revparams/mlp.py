@@ -44,8 +44,9 @@ from typing import ClassVar
 import numpy as np
 
 from . import parallel
-from .frontend import BLOCK_ROWS, FrameParams, row_blocks
+from .frontend import FrameParams
 from .grid import ClassGrid, ClassVocabulary, center_of
+from .parallel import BLOCK_ROWS, row_blocks
 
 MAGIC = b"RVPM1\x00"
 

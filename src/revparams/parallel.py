@@ -5,12 +5,14 @@ process may use two or more CPUs. Two callers of a multi-threaded BLAS
 oversubscribe the cores and run slower than one. It is evaluated once per
 process.
 
-- ``split`` runs the independent parts of one stage (the Gabor groups, the
-  MLP row blocks) on the calling thread and one helper thread. It splits
-  only on the main thread, for inputs of more than BLOCK_ROWS frames, and
-  when ``two_cores()`` holds; otherwise it is a plain loop. ``--jobs``
-  workers, ``train``'s metrics thread and the helper itself never split,
-  so no pool is ever nested.
+- ``row_blocks`` cuts an input into near-equal blocks of at most
+  BLOCK_ROWS (1,024) rows, the unit of the log-mel and MLP stages.
+- ``split`` runs the independent parts of one per-frame stage (the log-mel
+  row blocks, the Gabor groups, the MLP row blocks) on the calling thread
+  and one helper thread. It splits only on the main thread, for inputs of
+  more than BLOCK_ROWS frames, and when ``two_cores()`` holds; otherwise it
+  is a plain loop. ``--jobs`` workers, ``train``'s metrics thread and the
+  helper itself never split, so no pool is ever nested.
 - ``train`` runs its metrics pass on a helper thread when ``two_cores()``
   holds.
 - ``map_items`` runs one function over the items of ``--jobs`` commands.
@@ -29,7 +31,9 @@ import threading
 from concurrent import futures
 from functools import lru_cache
 
-from .frontend import BLOCK_ROWS
+import numpy as np
+
+BLOCK_ROWS = 1024
 
 # numpy and scipy bundle OpenBLAS builds with prefixed and 64-bit-index names.
 _OPENBLAS_THREAD_GETTERS = [f"{p}get_num_threads{s}" for p in ("scipy_openblas_", "openblas_") for s in ("64_", "")]
@@ -63,6 +67,20 @@ def two_cores() -> bool:
     process; OpenBLAS fixes its thread count when it loads."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     return cpus >= 2 and _blas_threads() == 1
+
+
+def row_blocks(*arrays):
+    """Zip of matching near-equal row blocks of ``arrays``, which share a
+    row count T: one block when T <= BLOCK_ROWS, else ceil(T / BLOCK_ROWS)
+    blocks of at least BLOCK_ROWS // 2 rows each.
+
+    With OpenBLAS on one thread a matmul row does not depend on the other
+    rows of a block of more than 100 rows, so blocked matmuls give the
+    bits of one pass over all rows. A fixed BLOCK_ROWS stride would leave
+    a short last block, which can differ in the last bits.
+    """
+    n_blocks = max(1, -(-len(arrays[0]) // BLOCK_ROWS))
+    return zip(*(np.array_split(a, n_blocks) for a in arrays))
 
 
 def split(fn, items, n_rows: int) -> None:

@@ -388,9 +388,9 @@ def test_estimate_verbose_writes_one_stderr_line_per_input(jobs, tmp_path, model
         path, *fields = line.split("\t")
         values = dict(field.split("=") for field in fields)
         assert path == wav
-        assert set(values) == {"frames", "features_ms", "mlp_ms"}
+        assert set(values) == {"frames", "logmel_ms", "gabor_ms", "mlp_ms"}
         assert values["frames"] == out_line.split("\t")[-1]
-        assert float(values["features_ms"]) > 0 and float(values["mlp_ms"]) > 0
+        assert all(float(values[stage]) > 0 for stage in ("logmel_ms", "gabor_ms", "mlp_ms"))
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -526,7 +526,7 @@ def test_full_pipeline_via_cli(data_dirs, tmp_path, capsys):
     assert code == 0
     report = json.loads(captured.out)
     assert report["mean_rtf"] > 0
-    assert "features" in report["stage_rtf"]
+    assert set(report["stage_rtf"]) == {"logmel", "gabor", "mlp_forward"}
     assert report["fps"] > 0
 
 

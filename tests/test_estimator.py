@@ -161,14 +161,27 @@ class TestEstimateUtterance:
 
     def test_timings_recorded(self, rng):
         _, times = frame_posteriors(AudioBuffer(0.1 * rng.standard_normal(8000)), full_model())
-        assert times.features_s > 0.0
+        assert times.logmel_s > 0.0
+        assert times.gabor_s > 0.0
         assert times.mlp_s > 0.0
-        assert times.total_s == times.features_s + times.mlp_s
+        assert times.total_s == times.logmel_s + times.gabor_s + times.mlp_s
 
     @pytest.mark.parametrize("level", [0.0, 0.1, -1.0, 3e38])
     def test_constant_input_raises(self, level):
         with pytest.raises(ValueError, match="silent input"):
             frame_posteriors(AudioBuffer(np.full(8000, level)), full_model())
+
+    def test_constant_input_is_refused_before_the_front_end(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(estimator, "log_mel_spectrogram", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="silent input"):
+            frame_posteriors(AudioBuffer(np.full(8000, 0.1)), full_model())
+        assert calls == []
+
+    @pytest.mark.parametrize("n, message", [(399, "input too short"), (400, "silent input")])
+    def test_constant_input_below_one_frame_is_too_short(self, n, message):
+        with pytest.raises(ValueError, match=message):
+            frame_posteriors(AudioBuffer(np.full(n, 0.1)), full_model())
 
     def test_single_differing_sample_is_not_constant(self):
         x = np.full(8000, 0.1)

@@ -78,17 +78,21 @@ class TestRtf:
             fps_to_rtf(0.0)
 
     def test_single_run_ratio(self):
-        report = measure_rtf([(StageTimes(0.5, 0.12), 10.0)])
+        report = measure_rtf([(StageTimes(0.2, 0.3, 0.12), 10.0)])
         assert report.mean_rtf == pytest.approx(0.062)
         assert report.fps == pytest.approx(100.0 * 10.0 / 0.62)
 
     def test_mean_of_ratios(self):
-        report = measure_rtf([(StageTimes(0.5, 0.5), 10.0), (StageTimes(2.0, 1.0), 10.0)])
+        report = measure_rtf([(StageTimes(0.2, 0.3, 0.5), 10.0), (StageTimes(1.5, 0.5, 1.0), 10.0)])
         assert report.mean_rtf == pytest.approx(0.2)
 
     def test_stage_breakdown(self):
-        report = measure_rtf([(StageTimes(0.8, 0.2), 10.0), (StageTimes(0.4, 0.1), 5.0)])
-        assert report.stage_rtf == {"features": pytest.approx(0.08), "mlp_forward": pytest.approx(0.02)}
+        report = measure_rtf([(StageTimes(0.3, 0.5, 0.2), 10.0), (StageTimes(0.15, 0.25, 0.1), 5.0)])
+        assert report.stage_rtf == {
+            "logmel": pytest.approx(0.03),
+            "gabor": pytest.approx(0.05),
+            "mlp_forward": pytest.approx(0.02),
+        }
 
     def test_empty_runs_raise(self):
         with pytest.raises(ValueError):
@@ -96,7 +100,7 @@ class TestRtf:
 
     def test_zero_audio_raises(self):
         with pytest.raises(ValueError):
-            measure_rtf([(StageTimes(0.5, 0.5), 0.0)])
+            measure_rtf([(StageTimes(0.2, 0.3, 0.5), 0.0)])
 
 
 class TestEvaluate:
@@ -150,11 +154,12 @@ class TestEvaluate:
         t60, drr = center_of(GRID, VOCAB.cells[0])
         result = evaluate(items_with_truth(t60, drr, n=2), model)
         for record in result.records:
-            assert record.times.features_s > 0.0
+            assert record.times.logmel_s > 0.0
+            assert record.times.gabor_s > 0.0
             assert record.times.mlp_s > 0.0
             assert record.audio_s == pytest.approx(0.4)
         assert result.rtf.mean_rtf > 0.0
-        assert set(result.rtf.stage_rtf) == {"features", "mlp_forward"}
+        assert set(result.rtf.stage_rtf) == {"logmel", "gabor", "mlp_forward"}
 
     def test_no_estimable_item_gives_no_rtf(self):
         model = sure_model(winner=0)

@@ -11,16 +11,16 @@ import pytest
 
 from conftest import make_model, seeded_model
 from revparams import parallel
-from revparams.audio_io import write_wav_pcm16
+from revparams.audio_io import AudioBuffer, write_wav_pcm16
 from revparams.cli import main
 from revparams.corpus import CorpusItem, make_speech_like
 from revparams.estimator import filterbank
 from revparams.evaluate import evaluate
-from revparams.frontend import BLOCK_ROWS, LogMelSpectrogram
+from revparams.frontend import FrameParams, LogMelSpectrogram, log_mel_spectrogram
 from revparams.gabor import GaborFilterbank, extract_features
 from revparams.grid import ClassVocabulary
 from revparams.mlp import forward, save_model
-from revparams.parallel import split
+from revparams.parallel import BLOCK_ROWS, split
 
 HELPER = "revparams-split"
 JOIN_TIMEOUT_S = 30.0
@@ -72,6 +72,12 @@ def split_helpers_alive():
     return [t for t in threading.enumerate() if t.name.startswith(HELPER)]
 
 
+def audio_of(n_frames: int, rng) -> AudioBuffer:
+    """Noise that frames into exactly ``n_frames`` frames."""
+    params = FrameParams()
+    return AudioBuffer(0.1 * rng.standard_normal(params.frame_len + params.hop * (n_frames - 1)))
+
+
 def caller_then_helper(n_items: int) -> list:
     """Thread names of a split run: the caller takes the first, larger half."""
     first = (n_items + 1) // 2
@@ -83,6 +89,17 @@ class TestSplitMatchesSerial:
 
     # 1,025 and 2,048 rows: 2 row blocks; 2,049: 3 (an odd split); 6,073: 6.
     N_FRAMES = (1_025, 2_048, 2_049, 6_073)
+
+    @pytest.mark.parametrize("n_frames", N_FRAMES)
+    def test_log_mel_spectrogram(self, n_frames, monkeypatch, threads_that_ran, rng):
+        audio = audio_of(n_frames, rng)
+        force_gate(monkeypatch, False)
+        serial = log_mel_spectrogram(audio).values
+        assert serial.shape[0] == n_frames
+        force_gate(monkeypatch, True)
+        assert np.array_equal(log_mel_spectrogram(audio).values, serial)
+        n_blocks = -(-n_frames // BLOCK_ROWS)
+        assert threads_that_ran == [["MainThread"] * n_blocks, caller_then_helper(n_blocks)]
 
     @pytest.mark.parametrize("n_frames", N_FRAMES)
     def test_extract_features(self, n_frames, monkeypatch, threads_that_ran, rng):
@@ -121,8 +138,9 @@ class TestSplitMatchesSerial:
         """Both halves write into one output while the interpreter switches
         threads every microsecond."""
         model = seeded_model()
-        spec = LogMelSpectrogram(rng.standard_normal((3_100, 26)))
+        audio = audio_of(3_100, rng)
         force_gate(monkeypatch, False)
+        spec = log_mel_spectrogram(audio)
         feats = extract_features(spec, filterbank()).values
         post = forward(model, feats)
         force_gate(monkeypatch, True)
@@ -130,6 +148,7 @@ class TestSplitMatchesSerial:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(3):
+                assert np.array_equal(log_mel_spectrogram(audio).values, spec.values)
                 assert np.array_equal(extract_features(spec, filterbank()).values, feats)
                 assert np.array_equal(forward(model, feats), post)
         finally:
@@ -230,10 +249,12 @@ class TestGate:
     def test_real_gate_gives_the_serial_bits(self, monkeypatch, rng):
         """Whatever this process's gate says, split or not."""
         model = seeded_model()
-        spec = LogMelSpectrogram(rng.standard_normal((2_049, 26)))
+        audio = audio_of(2_049, rng)
+        spec = log_mel_spectrogram(audio)
         feats = extract_features(spec, filterbank()).values
         post = forward(model, feats)
         force_gate(monkeypatch, False)
+        assert np.array_equal(log_mel_spectrogram(audio).values, spec.values)
         assert np.array_equal(extract_features(spec, filterbank()).values, feats)
         assert np.array_equal(forward(model, feats), post)
 
@@ -252,10 +273,10 @@ class TestJobsNeverSplit:
 
     @staticmethod
     def check_split_threads(calls, jobs):
-        """Two split calls per input (Gabor, MLP); only the long input's,
-        and only with ``--jobs 1``, reach the helper."""
+        """Three split calls per input (log-mel, Gabor, MLP); only the long
+        input's, and only with ``--jobs 1``, reach the helper."""
         reached = [call for call in calls if any(name.startswith(HELPER) for name in call)]
-        assert [len(call) for call in reached] == ([6, 2] if jobs == 1 else [])
+        assert [len(call) for call in reached] == ([2, 6, 2] if jobs == 1 else [])
 
     def test_evaluate(self, audios, model, monkeypatch, threads_that_ran):
         force_gate(monkeypatch, True)
@@ -265,7 +286,7 @@ class TestJobsNeverSplit:
             threads_that_ran.clear()
             result = evaluate(items, model, jobs=jobs)
             self.check_split_threads(threads_that_ran, jobs)
-            assert len(threads_that_ran) == 2 * len(items)
+            assert len(threads_that_ran) == 3 * len(items)
             results[jobs] = [(r.item_id, r.t60_hat, r.drr_hat, r.e_t60, r.e_drr) for r in result.records]
         assert results[1] == results[2]
 
@@ -284,6 +305,7 @@ class TestJobsNeverSplit:
             argv = ["estimate", *wavs, "--model", str(model_path), "--per-frame", str(per_frame), "--jobs", str(jobs)]
             assert main(argv) == 0
             self.check_split_threads(threads_that_ran, jobs)
+            assert len(threads_that_ran) == 3 * len(wavs)
             csvs = [(per_frame / f"in{i}.posteriors.csv").read_bytes() for i in range(len(wavs))]
             outputs[jobs] = capsys.readouterr().out, csvs
         assert outputs[1] == outputs[2]
