@@ -130,15 +130,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    items = read_manifest_items(args.manifest)
-    grid = ClassGrid()
-    vocabulary = build_vocabulary(grid, [(it.t60, it.drr) for it in items])
-    for it in items:
-        expected = vocabulary.class_id_of(cell_of(grid, it.t60, it.drr))
-        if it.class_id != expected:
-            raise ValueError(
-                f"manifest class id {it.class_id} disagrees with grid cell (expected {expected})"
-            )
     config = TrainConfig(
         learning_rate=args.lr,
         momentum=args.momentum,
@@ -148,6 +139,15 @@ def cmd_train(args) -> int:
         seed=args.seed,
         validation_fraction=args.val_fraction,
     )
+    items = read_manifest_items(args.manifest)
+    grid = ClassGrid()
+    vocabulary = build_vocabulary(grid, [(it.t60, it.drr) for it in items])
+    for it in items:
+        expected = vocabulary.class_id_of(cell_of(grid, it.t60, it.drr))
+        if it.class_id != expected:
+            raise ValueError(
+                f"manifest class id {it.class_id} disagrees with grid cell (expected {expected})"
+            )
     _log(f"extracting features for {len(items)} items")
     # float32 as extracted: train rounds to float32 anyway, so no float64
     # copy of the training set is held

@@ -8,10 +8,8 @@ No pre-emphasis and no mean subtraction happen here; feature normalization
 lives entirely in the classifier.
 
 The frames are processed in ``parallel.row_blocks``, each block writing its
-own rows of the spectrogram. On the main thread, for more than
-``parallel.BLOCK_ROWS`` frames and when ``parallel.two_cores()`` holds, the
-caller runs the first half of the blocks and one helper thread the second
-half (``parallel.split``); the bits are those of the serial loop.
+own rows of the spectrogram, and shared with a helper thread as
+``parallel.split`` decides; the bits are those of the serial loop.
 """
 
 from __future__ import annotations

@@ -29,11 +29,9 @@ the bank is built:
   extent and transformed with one rfft. Each group multiplies it by its
   time-kernel spectra, transforms back, and applies its mel matrix.
 
-Each group writes its own output columns. On the main thread, for more
-than ``parallel.BLOCK_ROWS`` frames and when ``parallel.two_cores()``
-holds, the caller runs the first half of the groups and one helper thread
-the second half (``parallel.split``, as log-mel and the MLP do with their
-row blocks), sharing the one rfft read-only; the bits are those of the
+Each group reads the one rfft and writes its own output columns. The
+groups are shared with a helper thread as ``parallel.split`` decides, as
+log-mel and the MLP share their row blocks; the bits are those of the
 serial loop.
 
 Kernels have exactly zero coefficient sum and the padding replicates

@@ -19,25 +19,20 @@ sums through one (BLOCK_ROWS + 1, D) float64 buffer. `train` therefore
 holds the training set in float32 plus one float64 block, never a float64
 copy of the set. Both give the same bits as one pass over all rows.
 
-On the main thread, `forward` runs the first half of its row blocks
-while one helper thread runs the second (``parallel.split``), for inputs
-of more than BLOCK_ROWS rows when ``parallel.two_cores()`` holds: the
-loaded BLAS runs one thread and the process may use two or more CPUs.
-Under the same gate `train` overlaps each epoch's metrics pass with the
-next epoch's SGD on one helper thread; otherwise the pass runs inline.
-The pass reads a copy of the epoch's weights and no random state, each
-block writes only its own rows, and each single-threaded BLAS call gives
-the same bits on any thread, so the output bits are identical either way.
+`forward` shares its row blocks with a helper thread, and each `train`
+step runs one epoch's SGD beside the previous epoch's metrics pass, both
+as ``parallel.split`` decides. The pass reads a copy of the epoch's
+weights and no random state, each block writes only its own rows, and
+each single-threaded BLAS call gives the same bits on any thread, so the
+output bits are identical either way.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import math
 import struct
-from concurrent import futures
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -81,6 +76,8 @@ class TrainConfig:
             raise ValueError("momentum must be in [0, 1)")
         if self.batch_size < 1 or self.epochs < 1 or self.hidden_units < 1:
             raise ValueError("batch_size, epochs and hidden_units must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.validation_fraction < 1:
             raise ValueError("validation_fraction must be in [0, 1)")
 
@@ -255,15 +252,6 @@ def _epoch_metrics(model: MlpModel, x_train, y_train, x_val, y_val) -> dict:
     return {"train_ce": train_ce, "train_acc": train_acc, "val_ce": val_ce, "val_acc": val_acc}
 
 
-def _submit(pool, fn, *args):
-    """Start ``fn(*args)`` on ``pool``, or run it now when ``pool`` is None.
-    Returns a callable that gives the result or raises ``fn``'s exception."""
-    if pool is None:
-        value = fn(*args)
-        return lambda: value
-    return pool.submit(fn, *args).result
-
-
 def train(
     dataset,
     config: TrainConfig,
@@ -282,14 +270,16 @@ def train(
     can only be the fixed ``ClassGrid()`` and ``FrameParams()``, which the
     model carries as class constants.
 
-    Each epoch's metrics pass runs on a copy of that epoch's weights; when
-    ``parallel.two_cores()`` holds, on a helper thread while the next
-    epoch's SGD runs. Results are collected in epoch order, so at most two
-    copies are alive, and an exception in the pass reaches the caller.
+    Each step is one ``parallel.split`` over two parts: the caller runs
+    the next epoch's SGD and the helper thread the metrics pass of a copy
+    of this epoch's weights. The last pass runs alone on the caller. Rows
+    are taken in epoch order when the step returns, so at most two copies
+    are alive, the one being scored and the best, and an exception in
+    either part reaches the caller.
 
-    Shuffling, weight init and batching all derive from config.seed; two
-    runs with identical inputs produce bit-identical models, with or
-    without the helper thread.
+    Shuffling, weight init and batching all derive from config.seed, and
+    only SGD draws from it; two runs with identical inputs produce
+    bit-identical models, whether or not the steps split.
     """
     dataset = list(dataset)
     if not dataset:
@@ -339,44 +329,40 @@ def train(
 
     keys = ("w1", "b1", "w2", "b2")
     velocity = {k: np.zeros_like(getattr(model, k)) for k in keys}
-    best = {k: getattr(model, k).copy() for k in keys}
-    best_score = np.inf
-    history = []
 
-    def collect(epoch, snapshot, result):
-        nonlocal best, best_score
-        row = result()
-        history.append({"epoch": epoch, **row})
+    def sgd_epoch():
+        perm = rng.permutation(len(x_train))
+        for start in range(0, len(perm), config.batch_size):
+            idx = perm[start : start + config.batch_size]
+            grads = gradient(model, x_train[idx], y_train[idx])
+            for key, g in grads.items():
+                velocity[key] *= config.momentum
+                velocity[key] += g
+                getattr(model, key)[...] -= config.learning_rate * velocity[key]
+
+    best, best_score = None, np.inf
+    history = []
+    sgd_epoch()
+    for epoch in range(config.epochs):
+        scored = dataclasses.replace(model, **{k: getattr(model, k).copy() for k in keys})
+        row = {"epoch": epoch}
+
+        def metrics_pass():
+            row.update(_epoch_metrics(scored, x_train, y_train, x_val, y_val))
+
+        # this epoch's metrics pass beside the next epoch's SGD, which the caller runs
+        parts = [sgd_epoch] * (epoch + 1 < config.epochs) + [metrics_pass]
+        parallel.split(lambda part: part(), parts, len(x_train))
+        history.append(row)
         score = row["val_ce"] if len(x_val) else row["train_ce"]
         if score < best_score:
-            best_score, best = score, snapshot
-
-    helper = futures.ThreadPoolExecutor(1, thread_name_prefix="revparams-metrics") if parallel.two_cores() else None
-    with helper or contextlib.nullcontext():
-        pending = None
-        for epoch in range(config.epochs):
-            perm = rng.permutation(len(x_train))
-            for start in range(0, len(perm), config.batch_size):
-                idx = perm[start : start + config.batch_size]
-                grads = gradient(model, x_train[idx], y_train[idx])
-                for key, g in grads.items():
-                    velocity[key] *= config.momentum
-                    velocity[key] += g
-                    getattr(model, key)[...] -= config.learning_rate * velocity[key]
-            if pending is not None:
-                collect(*pending)
-            snapshot = {k: getattr(model, k).copy() for k in keys}
-            metrics = _submit(
-                helper, _epoch_metrics, dataclasses.replace(model, **snapshot), x_train, y_train, x_val, y_val
-            )
-            pending = epoch, snapshot, metrics
-        collect(*pending)
+            best_score, best = score, scored
 
     # NaN never compares below the initial inf: the weights would be the untrained ones.
     if best_score == np.inf:
         raise ValueError("no epoch gave a finite cross-entropy: non-finite features, or training diverged")
-    for key, value in best.items():
-        setattr(model, key, _snap_f32(value))
+    for key in keys:
+        setattr(model, key, _snap_f32(getattr(best, key)))
     return model, history
 
 

@@ -7,15 +7,16 @@ process.
 
 - ``row_blocks`` cuts an input into near-equal blocks of at most
   BLOCK_ROWS (1,024) rows, the unit of the log-mel and MLP stages.
-- ``split`` runs the independent parts of one per-frame stage (the log-mel
-  row blocks, the Gabor groups, the MLP row blocks) on the calling thread
-  and one helper thread. It splits only on the main thread, for inputs of
-  more than BLOCK_ROWS frames, and when ``two_cores()`` holds; otherwise it
-  is a plain loop. ``--jobs`` workers, ``train``'s metrics thread and the
-  helper itself never split, so no pool is ever nested.
-- ``train`` runs its metrics pass on a helper thread when ``two_cores()``
-  holds.
+- ``split`` runs the independent parts of one stage on the calling thread
+  and one helper thread: the log-mel row blocks, the Gabor groups, the MLP
+  row blocks, and each ``train`` step (one epoch's SGD beside the previous
+  epoch's metrics pass). It splits only two or more parts, only on the
+  main thread, for inputs of more than BLOCK_ROWS frames, and when
+  ``two_cores()`` holds; otherwise it is a plain loop. ``--jobs`` workers
+  and the helper itself never split, so no pool is ever nested.
 - ``map_items`` runs one function over the items of ``--jobs`` commands.
+
+These two start every thread the package uses.
 
 Each part is computed as in the serial loop and writes its own slice of
 the result, and a single-threaded BLAS call gives the same bits on any
@@ -85,9 +86,10 @@ def row_blocks(*arrays):
 
 def split(fn, items, n_rows: int) -> None:
     """``for item in items: fn(item)``, with the caller running the first
-    half of ``items`` and one helper thread the second half, when the input
-    has more than BLOCK_ROWS rows, the caller is the main thread and
-    ``two_cores()`` holds; otherwise a plain loop on the caller.
+    half of ``items`` and one helper thread the second half, when there are
+    two or more items, the input has more than BLOCK_ROWS rows, the caller
+    is the main thread and ``two_cores()`` holds; otherwise a plain loop on
+    the caller.
 
     Each ``fn(item)`` must write only its own part of the result. The
     helper runs in a copy of the caller's context (numpy's error state
@@ -95,7 +97,8 @@ def split(fn, items, n_rows: int) -> None:
     ``split`` returns or raises only after the helper has finished.
     """
     items = list(items)
-    if n_rows <= BLOCK_ROWS or threading.current_thread() is not threading.main_thread() or not two_cores():
+    main = threading.current_thread() is threading.main_thread()
+    if len(items) < 2 or n_rows <= BLOCK_ROWS or not main or not two_cores():
         for item in items:
             fn(item)
         return

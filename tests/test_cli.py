@@ -330,6 +330,29 @@ def test_train_non_finite_learning_rate_exits_2(rate, data_dirs, tmp_path, capsy
     assert not model_path.exists()
 
 
+def test_train_negative_seed_exits_2_before_reading_audio(data_dirs, tmp_path, monkeypatch, capsys):
+    speech_dir, rir_dir = data_dirs
+    corpus = tmp_path / "corpus"
+    argv = ["--speech-dir", str(speech_dir), "--rir-dir", str(rir_dir), "--noise", "none", "--out", str(corpus)]
+    assert main(["synth", *argv]) == 0
+    capsys.readouterr()  # synth's log names tmp_path, which names this test
+    extracted = []
+    real = cli.gabor_features
+    monkeypatch.setattr(cli, "gabor_features", lambda audio: extracted.append(audio) or real(audio))
+    model_path = tmp_path / "m.rvpm"
+    argv = ["--seed", "-1", "train", "--manifest", str(corpus / "manifest.csv"), "--out", str(model_path)]
+    assert main(argv) == 2
+    assert "seed" in capsys.readouterr().err
+    assert extracted == []
+    assert not model_path.exists()
+
+
+def test_train_bad_flag_is_named_before_a_missing_manifest(tmp_path, capsys):
+    argv = ["train", "--manifest", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "m.rvpm"), "--epochs", "0"]
+    assert main(argv) == 2
+    assert "epochs" in capsys.readouterr().err
+
+
 def test_train_help_exits_0(capsys):
     assert main(["train", "--help"]) == 0
     assert "usage" in capsys.readouterr().out.lower()

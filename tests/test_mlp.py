@@ -151,14 +151,20 @@ def reference_train(dataset, config, n_classes):
 
 @pytest.fixture(params=[True, False], ids=["metrics-thread", "metrics-inline"])
 def metrics_thread(request, monkeypatch):
-    """Forces ``train``'s metrics pass onto the helper thread or inline,
-    whatever this machine's BLAS and CPUs would select."""
+    """Forces the ``parallel`` gate on or off, so ``train``'s steps split
+    or not, whatever this machine's BLAS and CPUs would select."""
     monkeypatch.setattr(parallel, "two_cores", lambda: request.param)
     return request.param
 
 
 def metrics_threads_alive():
-    return [t for t in threading.enumerate() if t.name.startswith("revparams-metrics")]
+    return [t for t in threading.enumerate() if t.name.startswith("revparams-split")]
+
+
+def split_dataset(rng):
+    """``blob_dataset`` with 1,100 training frames: more than BLOCK_ROWS,
+    so ``train``'s steps reach the split helper when the gate holds."""
+    return blob_dataset(rng, frames_per_class=600)[0]
 
 
 class TestBitExactHotPath:
@@ -377,7 +383,7 @@ class TestTrain:
         assert h1 == h2
 
     def test_returns_best_validation_snapshot(self, monkeypatch, rng):
-        data, _, _ = blob_dataset(rng)
+        data = split_dataset(rng)
         # reconstruct the deterministic validation split
         split_rng = np.random.default_rng(self.CFG.seed)
         order = split_rng.permutation(len(data))
@@ -435,19 +441,45 @@ class TestTrain:
 class TestMetricsThread:
     CFG = TrainConfig(learning_rate=0.1, epochs=3, hidden_units=8, batch_size=64, seed=7)
 
-    def test_runs_on_the_selected_thread(self, metrics_thread, monkeypatch, rng):
+    def spy_threads(self, monkeypatch):
+        """The thread that ran each ``_epoch_metrics`` call, and the numpy
+        error state it saw."""
         ran_on = []
         epoch_metrics = mlp._epoch_metrics
 
         def spy(*args):
-            ran_on.append(threading.current_thread())
+            ran_on.append((threading.current_thread(), np.geterr()))
             return epoch_metrics(*args)
 
         monkeypatch.setattr(mlp, "_epoch_metrics", spy)
-        _, history = train(blob_dataset(rng)[0], self.CFG, ClassGrid(), VOCAB2)
+        return ran_on
+
+    def test_runs_on_the_selected_thread(self, metrics_thread, monkeypatch, rng):
+        """Gate on: passes 0 .. E - 2 beside the next SGD on the split
+        helper, the last alone on the caller. Gate off: all on the caller."""
+        ran_on = self.spy_threads(monkeypatch)
+        _, history = train(split_dataset(rng), self.CFG, ClassGrid(), VOCAB2)
         assert len(ran_on) == len(history) == self.CFG.epochs
-        assert all((thread is not threading.main_thread()) == metrics_thread for thread in ran_on)
+        on_helper = [thread is not threading.main_thread() for thread, _ in ran_on]
+        assert on_helper == [metrics_thread] * (self.CFG.epochs - 1) + [False]
         assert metrics_threads_alive() == []
+
+    def test_small_training_set_runs_inline(self, monkeypatch, rng):
+        """900 training frames, at most BLOCK_ROWS: no step splits, even
+        with the gate on."""
+        monkeypatch.setattr(parallel, "two_cores", lambda: True)
+        ran_on = self.spy_threads(monkeypatch)
+        train(blob_dataset(rng)[0], self.CFG, ClassGrid(), VOCAB2)
+        assert [thread for thread, _ in ran_on] == [threading.main_thread()] * self.CFG.epochs
+
+    def test_metrics_pass_sees_the_callers_numpy_error_state(self, monkeypatch, rng):
+        monkeypatch.setattr(parallel, "two_cores", lambda: True)
+        ran_on = self.spy_threads(monkeypatch)
+        with np.errstate(all="ignore"):
+            train(split_dataset(rng), self.CFG, ClassGrid(), VOCAB2)
+        assert any(thread is not threading.main_thread() for thread, _ in ran_on)
+        ignored = dict.fromkeys(("divide", "over", "under", "invalid"), "ignore")
+        assert [state for _, state in ran_on] == [ignored] * self.CFG.epochs
 
     @pytest.mark.parametrize("failing_call", [1, 4, 6])
     def test_exception_in_metrics_reaches_caller(self, failing_call, metrics_thread, monkeypatch, rng):
@@ -463,7 +495,7 @@ class TestMetricsThread:
 
         monkeypatch.setattr(mlp, "_batched_metrics", failing)
         with pytest.raises(RuntimeError, match="metrics pass failed"):
-            train(blob_dataset(rng)[0], self.CFG, ClassGrid(), VOCAB2)
+            train(split_dataset(rng), self.CFG, ClassGrid(), VOCAB2)
         assert metrics_threads_alive() == []
 
     @pytest.mark.parametrize(

@@ -2,9 +2,11 @@
 serial loop at tolerance 0, its exception and thread rules, the once-per-
 process gate, and ``--jobs`` workers that never split."""
 
+import re
 import sys
 import threading
 from concurrent import futures
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,6 +202,13 @@ class TestSplitRules:
         assert ran == [(i, "MainThread") for i in range(4)]
         assert executors == []
 
+    def test_one_part_starts_no_thread(self, monkeypatch, executors):
+        force_gate(monkeypatch, True)
+        ran = []
+        split(lambda item: ran.append((item, threading.current_thread().name)), ["only"], 5_000)
+        assert ran == [("only", "MainThread")]
+        assert executors == []
+
     def test_off_the_main_thread_starts_no_thread(self, monkeypatch, executors):
         force_gate(monkeypatch, True)
         ran = []
@@ -226,6 +235,17 @@ class TestSplitRules:
         with np.errstate(all="raise"):
             split(lambda item: states.append(np.geterr()["divide"]), range(2), self.N_ROWS)
         assert states == ["raise", "raise"]
+
+
+def test_only_parallel_imports_concurrent_futures():
+    """Every thread that splits a stage or maps ``--jobs`` items is started
+    in ``revparams.parallel``."""
+    importers = [
+        path.name
+        for path in sorted(Path(parallel.__file__).parent.glob("*.py"))
+        if re.search(r"^\s*(import|from)\s+concurrent\b", path.read_text(), re.MULTILINE)
+    ]
+    assert importers == ["parallel.py"]
 
 
 class TestGate:
