@@ -149,8 +149,8 @@ def cmd_train(args) -> int:
                 f"manifest class id {it.class_id} disagrees with grid cell (expected {expected})"
             )
     _log(f"extracting features for {len(items)} items")
-    # float32 as extracted: train rounds to float32 anyway, so no float64
-    # copy of the training set is held
+    # float32 as extracted: train reads float32 matrices in place, so this
+    # list is the one copy of the training set
     dataset = [(gabor_features(read_wav(it.path)).astype(np.float32), it.class_id) for it in items]
     _log(f"training {filterbank().feature_dim} -> {config.hidden_units} -> {len(vocabulary)}")
     model, history = train(dataset, config, grid, vocabulary)

@@ -184,6 +184,8 @@ def build_corpus(
     are identical for any job count because every item's noise seed is
     pre-assigned.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     speech = list(speech)
     rirs = list(rirs)
     if not speech or not rirs:

@@ -15,9 +15,12 @@ float64.
 Rows are processed in blocks of at most BLOCK_ROWS (1,024), so float64
 temporaries stay cache-sized whatever the input length. `forward` splits
 longer inputs into near-equal blocks; `fit_normalizer` streams its column
-sums through one (BLOCK_ROWS + 1, D) float64 buffer. `train` therefore
-holds the training set in float32 plus one float64 block, never a float64
-copy of the set. Both give the same bits as one pass over all rows.
+sums through one (BLOCK_ROWS + 1, D) float64 buffer. Both give the same
+bits as one pass over all rows. `train` reads the caller's per-utterance
+float32 matrices in place, never a stacked copy of the set: SGD gathers
+its shuffled rows in windows of whole batches, about 8,192 rows each, into
+one reused buffer, and the metrics pass copies only the chunks that span
+utterances into another.
 
 `forward` shares its row blocks with a helper thread, and each `train`
 step runs one epoch's SGD beside the previous epoch's metrics pass, both
@@ -107,9 +110,58 @@ class MlpModel:
         return self.w2.shape[0]
 
 
-def _column_sum(x: np.ndarray, buf: np.ndarray, center=None) -> np.ndarray:
-    """Float64 column sums of the rows of ``x`` (squared deviations from
-    ``center`` when given), in row order.
+class _Rows:
+    """The rows of a list of (T_i, D) matrices, read in place in list order
+    as if stacked: ``mats[i]`` holds rows ``offsets[i]`` to
+    ``offsets[i + 1]``, and ``y`` is the label of each row.
+
+    ``chunk`` gives a view when its rows lie in one matrix and otherwise a
+    copy in ``buf``, which the next call overwrites.
+    """
+
+    def __init__(self, mats, y, buf=None):
+        self.mats = mats
+        self.offsets = np.cumsum([0] + [len(m) for m in mats])
+        self.y = y
+        self.buf = buf
+
+    def __len__(self) -> int:
+        return int(self.offsets[-1])
+
+    def pieces(self, start: int, stop: int):
+        """(first row, view) pairs that cover rows ``start`` to ``stop`` in order."""
+        i = int(np.searchsorted(self.offsets, start, side="right")) - 1
+        while start < stop:
+            end = min(stop, int(self.offsets[i + 1]))
+            if end > start:
+                yield start, self.mats[i][start - self.offsets[i] : end - self.offsets[i]]
+            start, i = end, i + 1
+
+    def chunk(self, start: int, stop: int) -> np.ndarray:
+        """Rows ``start`` to ``stop`` as one array."""
+        pieces = list(self.pieces(start, stop))
+        if len(pieces) == 1:
+            return pieces[0][1]
+        out = self.buf[: stop - start]
+        for first, piece in pieces:
+            out[first - start : first - start + len(piece)] = piece
+        return out
+
+    def take(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Rows ``rows`` (distinct), in that order, into ``out[:len(rows)]``:
+        one fancy index per matrix, in ascending row order within it."""
+        order = np.argsort(rows)
+        ascending = rows[order]
+        bounds = np.searchsorted(ascending, self.offsets)
+        for i in np.flatnonzero(np.diff(bounds)):
+            picked = slice(bounds[i], bounds[i + 1])
+            out[order[picked]] = self.mats[i][ascending[picked] - self.offsets[i]]
+        return out[: len(rows)]
+
+
+def _column_sum(rows: _Rows, buf: np.ndarray, center=None) -> np.ndarray:
+    """Float64 column sums of ``rows`` (squared deviations from ``center``
+    when given), in row order.
 
     Each block of at most BLOCK_ROWS rows goes into ``buf[1:]`` behind the
     running sum in ``buf[0]``. A reduce over axis 0 of a C-contiguous
@@ -117,16 +169,26 @@ def _column_sum(x: np.ndarray, buf: np.ndarray, center=None) -> np.ndarray:
     ``buf[:k + 1]`` continues the order of one reduce over all rows.
     """
     buf[0] = 0.0
-    for start in range(0, len(x), BLOCK_ROWS):
-        block = x[start : start + BLOCK_ROWS]
-        rows = buf[1 : len(block) + 1]
-        if center is None:
-            rows[...] = block
-        else:
-            np.subtract(block, center, out=rows)
-            np.square(rows, out=rows)
-        buf[0] = np.add.reduce(buf[: len(block) + 1], axis=0)
+    for start in range(0, len(rows), BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, len(rows))
+        for first, piece in rows.pieces(start, stop):
+            out = buf[1 + first - start : 1 + first - start + len(piece)]
+            if center is None:
+                out[...] = piece
+            else:
+                np.subtract(piece, center, out=out)
+                np.square(out, out=out)
+        buf[0] = np.add.reduce(buf[: stop - start + 1], axis=0)
     return buf[0].copy()
+
+
+def _fit_normalizer(rows: _Rows) -> FeatureNormalizer:
+    if len(rows) < 2:
+        raise ValueError(f"need at least 2 frames to fit a normalizer, got {len(rows)}")
+    buf = np.empty((BLOCK_ROWS + 1, rows.mats[0].shape[1]))
+    mean = _column_sum(rows, buf) / len(rows)
+    std = np.sqrt(_column_sum(rows, buf, center=mean) / len(rows))
+    return FeatureNormalizer(mean, 1.0 / np.maximum(std, _STD_FLOOR))
 
 
 def fit_normalizer(frames: np.ndarray) -> FeatureNormalizer:
@@ -138,13 +200,7 @@ def fit_normalizer(frames: np.ndarray) -> FeatureNormalizer:
     For D = 1 numpy sums that one column pairwise, so the last bits may
     differ.
     """
-    x = np.asarray(frames)
-    if len(x) < 2:
-        raise ValueError(f"need at least 2 frames to fit a normalizer, got {len(x)}")
-    buf = np.empty((BLOCK_ROWS + 1, x.shape[1]))
-    mean = _column_sum(x, buf) / len(x)
-    std = np.sqrt(_column_sum(x, buf, center=mean) / len(x))
-    return FeatureNormalizer(mean, 1.0 / np.maximum(std, _STD_FLOOR))
+    return _fit_normalizer(_Rows([np.asarray(frames)], None))
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -194,7 +250,7 @@ def forward(model: MlpModel, features: np.ndarray) -> np.ndarray:
 
 def cross_entropy(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> float:
     """Mean frame-level cross-entropy of a (T, D) batch."""
-    return float(_batched_metrics(model, np.asarray(features), np.asarray(labels))[0])
+    return float(_batched_metrics(model, _Rows([np.asarray(features)], np.asarray(labels)))[0])
 
 
 def gradient(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> dict:
@@ -233,22 +289,23 @@ def _snap_f32(a: np.ndarray) -> np.ndarray:
 _METRICS_CHUNK = 8192  # rows per forward call, which bounds the posteriors held at once
 
 
-def _batched_metrics(model: MlpModel, x: np.ndarray, y: np.ndarray):
+def _batched_metrics(model: MlpModel, rows: _Rows):
     total_nll = 0.0
     correct = 0
-    for start in range(0, len(x), _METRICS_CHUNK):
-        yb = y[start : start + _METRICS_CHUNK]
-        post = forward(model, x[start : start + _METRICS_CHUNK])
+    for start in range(0, len(rows), _METRICS_CHUNK):
+        stop = min(start + _METRICS_CHUNK, len(rows))
+        yb = rows.y[start:stop]
+        post = forward(model, rows.chunk(start, stop))
         picked = post[np.arange(len(yb)), yb]
         total_nll -= np.log(np.maximum(picked, 1e-300)).sum()
         correct += int((post.argmax(axis=1) == yb).sum())
-    return total_nll / len(x), correct / len(x)
+    return total_nll / len(rows), correct / len(rows)
 
 
-def _epoch_metrics(model: MlpModel, x_train, y_train, x_val, y_val) -> dict:
+def _epoch_metrics(model: MlpModel, train_rows: _Rows, val_rows: _Rows) -> dict:
     """One epoch's history row without its epoch number."""
-    train_ce, train_acc = _batched_metrics(model, x_train, y_train)
-    val_ce, val_acc = _batched_metrics(model, x_val, y_val) if len(x_val) else (float("nan"), float("nan"))
+    train_ce, train_acc = _batched_metrics(model, train_rows)
+    val_ce, val_acc = _batched_metrics(model, val_rows) if len(val_rows) else (float("nan"), float("nan"))
     return {"train_ce": train_ce, "train_acc": train_acc, "val_ce": val_ce, "val_acc": val_acc}
 
 
@@ -269,6 +326,11 @@ def train(
     cross-entropy is finite. ``grid`` and ``frame_params``
     can only be the fixed ``ClassGrid()`` and ``FrameParams()``, which the
     model carries as class constants.
+
+    The matrices are read in place (float32 C-contiguous ones are not
+    copied, others are converted once each), and every SGD batch and
+    metrics chunk holds the rows, in the order, that one stacked copy
+    would give, so the bits are those of training on a stacked copy.
 
     Each step is one ``parallel.split`` over two parts: the caller runs
     the next epoch's SGD and the helper thread the metrics pass of a copy
@@ -291,7 +353,7 @@ def train(
         class_id = int(class_id)
         if not 0 <= class_id < n_classes:
             raise ValueError(f"class id {class_id} out of range for {n_classes} classes")
-        mat = np.asarray(features, dtype=np.float32)
+        mat = np.asarray(features, dtype=np.float32, order="C")
         if mat.ndim != 2:
             raise ValueError(f"utterance {i} has features of shape {mat.shape}, training needs (T, D)")
         mats.append(mat)
@@ -306,17 +368,17 @@ def train(
     n_val = min(int(round(config.validation_fraction * len(mats))), len(mats) - 1)
     val_idx, train_idx = order[:n_val], order[n_val:]
 
-    def stack(indices):
-        if len(indices) == 0:
-            return np.empty((0, dim), dtype=np.float32), np.empty(0, dtype=np.intp)
-        xs = np.concatenate([mats[i] for i in indices], axis=0)
-        ys = np.concatenate([np.full(len(mats[i]), utt_labels[i], dtype=np.intp) for i in indices])
-        return xs, ys
+    # One metrics chunk buffer for both views: one metrics pass runs at a time.
+    lengths = np.array([len(m) for m in mats])
+    chunk_rows = min(_METRICS_CHUNK, max(lengths[train_idx].sum(), lengths[val_idx].sum()))
+    chunk_buf = np.empty((chunk_rows, dim), dtype=np.float32)
+    labels = np.array(utt_labels, dtype=np.intp)
+    train_rows, val_rows = (
+        _Rows([mats[i] for i in idx], np.repeat(labels[idx], lengths[idx]), chunk_buf)
+        for idx in (train_idx, val_idx)
+    )
 
-    x_train, y_train = stack(train_idx)
-    x_val, y_val = stack(val_idx)
-
-    normalizer = fit_normalizer(x_train)
+    normalizer = _fit_normalizer(train_rows)
     model = MlpModel(
         w1=glorot_init(rng, config.hidden_units, dim),
         b1=np.zeros(config.hidden_units),
@@ -330,15 +392,22 @@ def train(
     keys = ("w1", "b1", "w2", "b2")
     velocity = {k: np.zeros_like(getattr(model, k)) for k in keys}
 
+    # Each window of the permutation is gathered once; its batches are slices.
+    window = config.batch_size * max(1, _METRICS_CHUNK // config.batch_size)
+    window_buf = np.empty((min(window, len(train_rows)), dim), dtype=np.float32)
+
     def sgd_epoch():
-        perm = rng.permutation(len(x_train))
-        for start in range(0, len(perm), config.batch_size):
-            idx = perm[start : start + config.batch_size]
-            grads = gradient(model, x_train[idx], y_train[idx])
-            for key, g in grads.items():
-                velocity[key] *= config.momentum
-                velocity[key] += g
-                getattr(model, key)[...] -= config.learning_rate * velocity[key]
+        perm = rng.permutation(len(train_rows))
+        for first in range(0, len(perm), window):
+            rows = perm[first : first + window]
+            x, y = train_rows.take(rows, window_buf), train_rows.y[rows]
+            for start in range(0, len(rows), config.batch_size):
+                batch = slice(start, start + config.batch_size)
+                grads = gradient(model, x[batch], y[batch])
+                for key, g in grads.items():
+                    velocity[key] *= config.momentum
+                    velocity[key] += g
+                    getattr(model, key)[...] -= config.learning_rate * velocity[key]
 
     best, best_score = None, np.inf
     history = []
@@ -348,13 +417,13 @@ def train(
         row = {"epoch": epoch}
 
         def metrics_pass():
-            row.update(_epoch_metrics(scored, x_train, y_train, x_val, y_val))
+            row.update(_epoch_metrics(scored, train_rows, val_rows))
 
         # this epoch's metrics pass beside the next epoch's SGD, which the caller runs
         parts = [sgd_epoch] * (epoch + 1 < config.epochs) + [metrics_pass]
-        parallel.split(lambda part: part(), parts, len(x_train))
+        parallel.split(lambda part: part(), parts, len(train_rows))
         history.append(row)
-        score = row["val_ce"] if len(x_val) else row["train_ce"]
+        score = row["val_ce"] if len(val_rows) else row["train_ce"]
         if score < best_score:
             best_score, best = score, scored
 

@@ -1,3 +1,6 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 from scipy.io import wavfile
@@ -59,3 +62,32 @@ def write_data_dirs(root):
 @pytest.fixture
 def data_dirs(tmp_path):
     return write_data_dirs(tmp_path)
+
+
+def peak_rss_line() -> str | None:
+    """This process's peak resident set size, or None where ``resource``
+    is missing (Windows)."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    # ru_maxrss counts KiB on Linux and bytes on macOS
+    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+    return f"peak RSS of this pytest run: {maxrss:.0f} MB (ru_maxrss)"
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Report the run's peak memory, which in the tier-1 run is c6's, also
+    to a GitHub Actions step summary when there is one. It only reports:
+    it never fails a run."""
+    line = peak_rss_line()
+    if line is None:
+        return
+    terminalreporter.write_line(line)
+    summary = os.environ.get("GITHUB_STEP_SUMMARY")
+    if summary:
+        try:
+            with open(summary, "a") as fh:
+                fh.write(line + "\n")
+        except OSError as exc:
+            terminalreporter.write_line(f"could not append to GITHUB_STEP_SUMMARY: {exc}")

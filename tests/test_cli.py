@@ -347,6 +347,15 @@ def test_train_negative_seed_exits_2_before_reading_audio(data_dirs, tmp_path, m
     assert not model_path.exists()
 
 
+def test_synth_negative_seed_exits_2_naming_the_seed(data_dirs, tmp_path, capsys):
+    speech_dir, rir_dir = data_dirs
+    out = tmp_path / "corpus"
+    argv = ["--seed", "-1", "synth", "--speech-dir", str(speech_dir), "--rir-dir", str(rir_dir), "--out", str(out)]
+    assert main(argv) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (out / "manifest.csv").exists()
+
+
 def test_train_bad_flag_is_named_before_a_missing_manifest(tmp_path, capsys):
     argv = ["train", "--manifest", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "m.rvpm"), "--epochs", "0"]
     assert main(argv) == 2

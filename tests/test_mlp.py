@@ -149,6 +149,63 @@ def reference_train(dataset, config, n_classes):
     return best, history
 
 
+def stacked_train(dataset, config, vocabulary):
+    """The stacked path that ``train``'s in-place row views replace: one
+    float32 copy of the training and validation rows each, batches
+    gathered with ``x_train[idx]`` and metrics in ``_METRICS_CHUNK``-row
+    forward calls, serially. Only SGD draws from ``rng``, so the serial
+    order gives the values of the split one."""
+    mats = [np.asarray(f, dtype=np.float32) for f, _ in dataset]
+    labels = [c for _, c in dataset]
+    rng = np.random.default_rng(config.seed)
+    order = rng.permutation(len(mats))
+    n_val = min(int(round(config.validation_fraction * len(mats))), len(mats) - 1)
+    dim = mats[0].shape[1]
+
+    def stack(indices):
+        if len(indices) == 0:
+            return np.empty((0, dim), dtype=np.float32), np.empty(0, dtype=np.intp)
+        xs = np.concatenate([mats[i] for i in indices], axis=0)
+        ys = np.concatenate([np.full(len(mats[i]), labels[i], dtype=np.intp) for i in indices])
+        return xs, ys
+
+    def chunked_metrics(model, x, y):
+        total_nll, correct = 0.0, 0
+        for start in range(0, len(x), mlp._METRICS_CHUNK):
+            yb = y[start : start + mlp._METRICS_CHUNK]
+            post = forward(model, x[start : start + mlp._METRICS_CHUNK])
+            total_nll -= np.log(np.maximum(post[np.arange(len(yb)), yb], 1e-300)).sum()
+            correct += int((post.argmax(axis=1) == yb).sum())
+        return total_nll / len(x), correct / len(x)
+
+    x_train, y_train = stack(order[n_val:])
+    x_val, y_val = stack(order[:n_val])
+    hidden, n_classes = config.hidden_units, len(vocabulary)
+    model = make_model(d=dim, h=hidden, c=n_classes, normalizer=fit_normalizer(x_train), vocabulary=vocabulary)
+    model.w1, model.b1 = glorot_init(rng, hidden, dim), np.zeros(hidden)
+    model.w2, model.b2 = glorot_init(rng, n_classes, hidden), np.zeros(n_classes)
+    velocity = {k: np.zeros_like(getattr(model, k)) for k in ("w1", "b1", "w2", "b2")}
+    best, best_score, history = None, np.inf, []
+    for epoch in range(config.epochs):
+        perm = rng.permutation(len(x_train))
+        for start in range(0, len(perm), config.batch_size):
+            idx = perm[start : start + config.batch_size]
+            for key, g in gradient(model, x_train[idx], y_train[idx]).items():
+                velocity[key] *= config.momentum
+                velocity[key] += g
+                getattr(model, key)[...] -= config.learning_rate * velocity[key]
+        train_ce, train_acc = chunked_metrics(model, x_train, y_train)
+        val_ce, val_acc = chunked_metrics(model, x_val, y_val) if n_val else (float("nan"), float("nan"))
+        history.append(
+            {"epoch": epoch, "train_ce": train_ce, "train_acc": train_acc, "val_ce": val_ce, "val_acc": val_acc}
+        )
+        score = val_ce if n_val else train_ce
+        if score < best_score:
+            best_score = score
+            best = {k: getattr(model, k).astype(np.float32).astype(np.float64) for k in velocity}
+    return best, history
+
+
 @pytest.fixture(params=[True, False], ids=["metrics-thread", "metrics-inline"])
 def metrics_thread(request, monkeypatch):
     """Forces the ``parallel`` gate on or off, so ``train``'s steps split
@@ -236,6 +293,30 @@ class TestBitExactHotPath:
                 np.testing.assert_equal(history, ref_history, err_msg=case)  # exact; NaN equals NaN
                 for key, value in best.items():
                     assert np.array_equal(getattr(model, key), value), (key, case)
+
+
+    @pytest.mark.parametrize("batch_size", [100, 256, 9_000])
+    def test_train_matches_stacked_path(self, batch_size, metrics_thread, rng):
+        """Weights and history at tolerance 0 against ``stacked_train``, on
+        more than 8,192 training and validation rows each, in utterances of
+        0, 1 and odd row counts, so rows cross SGD windows (8,100, 8,192
+        and 9,000 rows) and metrics chunks. Gate forced on and off."""
+        n_classes, dim = 5, 12
+        centers = 2.0 * rng.standard_normal((n_classes, dim))
+        lengths = [0, *rng.choice([1, 1, 1, 3, 7, 61, 127, 255, 1_001], size=200)]
+        data = [(centers[i % 5] + 3.0 * rng.standard_normal((n, dim)), i % 5) for i, n in enumerate(lengths)]
+        vocab = ClassVocabulary(tuple((0, j) for j in range(n_classes)))
+        cfg = TrainConfig(
+            learning_rate=1.0, batch_size=batch_size, epochs=2, hidden_units=16, seed=3, validation_fraction=0.45
+        )
+        order = np.random.default_rng(cfg.seed).permutation(len(data))  # train's split: validation first
+        n_val = round(cfg.validation_fraction * len(data))
+        assert min(sum(lengths[i] for i in part) for part in (order[:n_val], order[n_val:])) > mlp._METRICS_CHUNK
+        best, ref_history = stacked_train(data, cfg, vocab)
+        model, history = train(data, cfg, ClassGrid(), vocab)
+        np.testing.assert_equal(history, ref_history)  # exact; NaN equals NaN
+        for key, value in best.items():
+            assert np.array_equal(getattr(model, key), value), key
 
 
 class TestNormalizer:
@@ -399,6 +480,19 @@ class TestTrain:
             # the returned snapshot reproduces the best recorded validation CE
             ce = cross_entropy(model, x_val, y_val)
             assert ce == pytest.approx(min(mins), rel=1e-4), in_thread
+
+    def test_allocates_less_than_a_float32_copy_of_the_set(self, rng):
+        """40,000 float32 rows of 600 in 160 utterances: ``train`` reads
+        them in place, so its peak stays below one copy of the set (96 MB)."""
+        data = [(rng.standard_normal((250, 600), dtype=np.float32), i % 2) for i in range(160)]
+        cfg = TrainConfig(epochs=1, hidden_units=8, seed=3)
+        tracemalloc.start()
+        try:
+            train(data, cfg, ClassGrid(), VOCAB2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40_000 * 600 * 4
 
     def test_zero_learning_rate_leaves_parameters_unchanged(self, rng):
         data, _, _ = blob_dataset(rng)
