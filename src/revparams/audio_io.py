@@ -45,9 +45,10 @@ class AudioBuffer:
 def read_wav(path, channel: int = 0) -> AudioBuffer:
     """Read a 16 kHz RIFF/WAVE file into an AudioBuffer.
 
-    Accepts PCM 16-bit signed little-endian or IEEE float-32. 16-bit samples
-    map to [-1, 1) by division by 32768. The requested channel (default 0)
-    is read; a channel the file lacks, or another sample rate, is refused.
+    Accepts PCM 16-bit signed little-endian or IEEE float-32 or float-64.
+    16-bit samples map to [-1, 1) by division by 32768. The requested
+    channel (default 0) is read; a channel the file lacks, or another
+    sample rate, is refused.
 
     A file that cannot be opened raises OSError; a malformed one raises
     ValueError naming it.
@@ -73,7 +74,7 @@ def read_wav(path, channel: int = 0) -> AudioBuffer:
     elif data.dtype in (np.float32, np.float64):
         samples = data.astype(np.float64)
     else:
-        raise ValueError(f"{path}: unsupported sample format {data.dtype}, need int16 or float32")
+        raise ValueError(f"{path}: unsupported sample format {data.dtype}, need int16, float32 or float64")
     return AudioBuffer(samples)
 
 

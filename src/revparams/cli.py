@@ -74,6 +74,8 @@ def _noise_kinds(text: str) -> list:
     for kind in kinds:
         if kind not in NOISE_KINDS:
             raise argparse.ArgumentTypeError(f"unknown noise kind {kind!r}, expected any of {NOISE_KINDS}")
+    if not kinds:
+        raise argparse.ArgumentTypeError(f"no noise kind in {text!r}")
     return kinds
 
 

@@ -5,15 +5,13 @@ posteriors -> temporal average over the utterance -> winner-takes-all ->
 cell-center (T60, DRR) estimate.
 
 The front end is fixed: ``FrameParams()`` and one Gabor filterbank, built
-once by ``filterbank()`` and shared read-only. No call passes a front end.
+once at import and shared read-only. No call passes a front end.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -67,21 +65,13 @@ def decide(mean_posterior: np.ndarray, vocabulary: ClassVocabulary, grid: ClassG
     return class_id, t60_hat, drr_hat
 
 
-_FILTERBANK_LOCK = threading.Lock()
+_FILTERBANK = build_diagonal_filterbank(FrameParams().n_mels, FrameParams().frame_rate())
 
 
 def filterbank() -> GaborFilterbank:
-    """The Gabor filterbank of the fixed front end, built once and shared,
-    read-only, by every caller and thread. The lock keeps concurrent first
-    calls (``--jobs`` workers) from each building one."""
-    with _FILTERBANK_LOCK:
-        return _build_filterbank()
-
-
-@lru_cache(maxsize=1)
-def _build_filterbank() -> GaborFilterbank:
-    params = FrameParams()
-    return build_diagonal_filterbank(params.n_mels, params.frame_rate())
+    """The Gabor filterbank of the fixed front end, built once at import
+    and shared, read-only, by every caller and thread."""
+    return _FILTERBANK
 
 
 def gabor_features(audio: AudioBuffer) -> np.ndarray:

@@ -17,10 +17,10 @@ temporaries stay cache-sized whatever the input length. `forward` splits
 longer inputs into near-equal blocks; `fit_normalizer` streams its column
 sums through one (BLOCK_ROWS + 1, D) float64 buffer. Both give the same
 bits as one pass over all rows. `train` reads the caller's per-utterance
-float32 matrices in place, never a stacked copy of the set: SGD gathers
-its shuffled rows in windows of whole batches, about 8,192 rows each, into
-one reused buffer, and the metrics pass copies only the chunks that span
-utterances into another.
+float32 matrices in place, never a stacked copy of the set. Every read
+gathers rows into a reused buffer: SGD its shuffled rows in windows of
+whole batches, about 8,192 rows each, the metrics pass its 8,192-row
+chunks, and the normalizer its 1,024-row blocks.
 
 `forward` shares its row blocks with a helper thread, and each `train`
 step runs one epoch's SGD beside the previous epoch's metrics pass, both
@@ -113,39 +113,17 @@ class MlpModel:
 class _Rows:
     """The rows of a list of (T_i, D) matrices, read in place in list order
     as if stacked: ``mats[i]`` holds rows ``offsets[i]`` to
-    ``offsets[i + 1]``, and ``y`` is the label of each row.
-
-    ``chunk`` gives a view when its rows lie in one matrix and otherwise a
-    copy in ``buf``, which the next call overwrites.
+    ``offsets[i + 1]``, and ``y`` is the label of each row. ``take`` is the
+    one reader.
     """
 
-    def __init__(self, mats, y, buf=None):
+    def __init__(self, mats, y):
         self.mats = mats
         self.offsets = np.cumsum([0] + [len(m) for m in mats])
         self.y = y
-        self.buf = buf
 
     def __len__(self) -> int:
         return int(self.offsets[-1])
-
-    def pieces(self, start: int, stop: int):
-        """(first row, view) pairs that cover rows ``start`` to ``stop`` in order."""
-        i = int(np.searchsorted(self.offsets, start, side="right")) - 1
-        while start < stop:
-            end = min(stop, int(self.offsets[i + 1]))
-            if end > start:
-                yield start, self.mats[i][start - self.offsets[i] : end - self.offsets[i]]
-            start, i = end, i + 1
-
-    def chunk(self, start: int, stop: int) -> np.ndarray:
-        """Rows ``start`` to ``stop`` as one array."""
-        pieces = list(self.pieces(start, stop))
-        if len(pieces) == 1:
-            return pieces[0][1]
-        out = self.buf[: stop - start]
-        for first, piece in pieces:
-            out[first - start : first - start + len(piece)] = piece
-        return out
 
     def take(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Rows ``rows`` (distinct), in that order, into ``out[:len(rows)]``:
@@ -163,21 +141,18 @@ def _column_sum(rows: _Rows, buf: np.ndarray, center=None) -> np.ndarray:
     """Float64 column sums of ``rows`` (squared deviations from ``center``
     when given), in row order.
 
-    Each block of at most BLOCK_ROWS rows goes into ``buf[1:]`` behind the
-    running sum in ``buf[0]``. A reduce over axis 0 of a C-contiguous
+    Each block of at most BLOCK_ROWS rows is taken into ``buf[1:]`` behind
+    the running sum in ``buf[0]``. A reduce over axis 0 of a C-contiguous
     (rows, D >= 2) array adds row after row to 0.0, so reducing
     ``buf[:k + 1]`` continues the order of one reduce over all rows.
     """
     buf[0] = 0.0
     for start in range(0, len(rows), BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, len(rows))
-        for first, piece in rows.pieces(start, stop):
-            out = buf[1 + first - start : 1 + first - start + len(piece)]
-            if center is None:
-                out[...] = piece
-            else:
-                np.subtract(piece, center, out=out)
-                np.square(out, out=out)
+        block = rows.take(np.arange(start, stop), buf[1:])
+        if center is not None:
+            block -= center
+            np.square(block, out=block)
         buf[0] = np.add.reduce(buf[: stop - start + 1], axis=0)
     return buf[0].copy()
 
@@ -248,19 +223,30 @@ def forward(model: MlpModel, features: np.ndarray) -> np.ndarray:
     return post
 
 
+def _checked_batch(model: MlpModel, features, labels) -> tuple:
+    """``features`` as a (T, D) array with T >= 1 and ``labels`` as T class
+    ids in [0, C); anything else raises ValueError naming it."""
+    x = np.asarray(features)
+    labels = np.asarray(labels, dtype=np.intp)
+    if x.ndim != 2 or x.shape[1] != model.d or not len(x):
+        raise ValueError(f"features of shape {x.shape}, model input needs (T >= 1, {model.d})")
+    if labels.shape != (len(x),):
+        raise ValueError(f"labels of shape {labels.shape} for {len(x)} rows: need one label per row")
+    if not 0 <= labels.min() <= labels.max() < model.c:
+        raise ValueError(f"labels span [{labels.min()}, {labels.max()}], outside the classes [0, {model.c})")
+    return x, labels
+
+
 def cross_entropy(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> float:
     """Mean frame-level cross-entropy of a (T, D) batch."""
-    return float(_batched_metrics(model, _Rows([np.asarray(features)], np.asarray(labels)))[0])
+    x, labels = _checked_batch(model, features, labels)
+    buf = np.empty((min(_METRICS_CHUNK, len(x)), x.shape[1]), dtype=x.dtype)
+    return float(_batched_metrics(model, _Rows([x], labels), buf)[0])
 
 
 def gradient(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> dict:
     """Exact gradients of mean (T, D) batch cross-entropy w.r.t. all parameters."""
-    x = np.asarray(features)
-    labels = np.asarray(labels, dtype=np.intp)
-    if x.ndim != 2 or x.shape[1] != model.d:
-        raise ValueError(f"features of shape {x.shape}, model input needs (T, {model.d})")
-    if labels.shape != (x.shape[0],):
-        raise ValueError("labels must match the batch length")
+    x, labels = _checked_batch(model, features, labels)
     xn, z1, post = _forward_parts(model, x)
     n = x.shape[0]
     d_logits = post
@@ -289,23 +275,25 @@ def _snap_f32(a: np.ndarray) -> np.ndarray:
 _METRICS_CHUNK = 8192  # rows per forward call, which bounds the posteriors held at once
 
 
-def _batched_metrics(model: MlpModel, rows: _Rows):
+def _batched_metrics(model: MlpModel, rows: _Rows, buf: np.ndarray):
+    """Mean cross-entropy and accuracy of ``rows``, taken into ``buf`` in
+    chunks of at most _METRICS_CHUNK rows."""
     total_nll = 0.0
     correct = 0
     for start in range(0, len(rows), _METRICS_CHUNK):
         stop = min(start + _METRICS_CHUNK, len(rows))
         yb = rows.y[start:stop]
-        post = forward(model, rows.chunk(start, stop))
+        post = forward(model, rows.take(np.arange(start, stop), buf))
         picked = post[np.arange(len(yb)), yb]
         total_nll -= np.log(np.maximum(picked, 1e-300)).sum()
         correct += int((post.argmax(axis=1) == yb).sum())
     return total_nll / len(rows), correct / len(rows)
 
 
-def _epoch_metrics(model: MlpModel, train_rows: _Rows, val_rows: _Rows) -> dict:
+def _epoch_metrics(model: MlpModel, train_rows: _Rows, val_rows: _Rows, buf: np.ndarray) -> dict:
     """One epoch's history row without its epoch number."""
-    train_ce, train_acc = _batched_metrics(model, train_rows)
-    val_ce, val_acc = _batched_metrics(model, val_rows) if len(val_rows) else (float("nan"), float("nan"))
+    train_ce, train_acc = _batched_metrics(model, train_rows, buf)
+    val_ce, val_acc = _batched_metrics(model, val_rows, buf) if len(val_rows) else (float("nan"), float("nan"))
     return {"train_ce": train_ce, "train_acc": train_acc, "val_ce": val_ce, "val_acc": val_acc}
 
 
@@ -328,9 +316,10 @@ def train(
     model carries as class constants.
 
     The matrices are read in place (float32 C-contiguous ones are not
-    copied, others are converted once each), and every SGD batch and
-    metrics chunk holds the rows, in the order, that one stacked copy
-    would give, so the bits are those of training on a stacked copy.
+    copied, others are converted once each). Every SGD window, metrics
+    chunk and normalizer block is gathered into a reused buffer holding
+    the rows, in the order, that one stacked copy would give, so the bits
+    are those of training on a stacked copy.
 
     Each step is one ``parallel.split`` over two parts: the caller runs
     the next epoch's SGD and the helper thread the metrics pass of a copy
@@ -368,15 +357,13 @@ def train(
     n_val = min(int(round(config.validation_fraction * len(mats))), len(mats) - 1)
     val_idx, train_idx = order[:n_val], order[n_val:]
 
-    # One metrics chunk buffer for both views: one metrics pass runs at a time.
     lengths = np.array([len(m) for m in mats])
-    chunk_rows = min(_METRICS_CHUNK, max(lengths[train_idx].sum(), lengths[val_idx].sum()))
-    chunk_buf = np.empty((chunk_rows, dim), dtype=np.float32)
     labels = np.array(utt_labels, dtype=np.intp)
     train_rows, val_rows = (
-        _Rows([mats[i] for i in idx], np.repeat(labels[idx], lengths[idx]), chunk_buf)
-        for idx in (train_idx, val_idx)
+        _Rows([mats[i] for i in idx], np.repeat(labels[idx], lengths[idx])) for idx in (train_idx, val_idx)
     )
+    # One metrics chunk buffer for both splits: one metrics pass runs at a time.
+    chunk_buf = np.empty((min(_METRICS_CHUNK, max(len(train_rows), len(val_rows))), dim), dtype=np.float32)
 
     normalizer = _fit_normalizer(train_rows)
     model = MlpModel(
@@ -417,7 +404,7 @@ def train(
         row = {"epoch": epoch}
 
         def metrics_pass():
-            row.update(_epoch_metrics(scored, train_rows, val_rows))
+            row.update(_epoch_metrics(scored, train_rows, val_rows, chunk_buf))
 
         # this epoch's metrics pass beside the next epoch's SGD, which the caller runs
         parts = [sgd_epoch] * (epoch + 1 < config.epochs) + [metrics_pass]

@@ -392,7 +392,15 @@ def test_features_csv_shape(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--snr", "0,abc"), ("--snr", "10,nan"), ("--snr", ""), ("--noise", "wind"), ("--noise", "ambient,,wind")],
+    [
+        ("--snr", "0,abc"),
+        ("--snr", "10,nan"),
+        ("--snr", ""),
+        ("--noise", "wind"),
+        ("--noise", "ambient,,wind"),
+        ("--noise", ""),
+        ("--noise", ","),
+    ],
 )
 def test_bad_synth_argument_is_a_usage_error(flag, value, capsys):
     argv = ["synth", "--speech-dir", "s", "--rir-dir", "r", "--out", "o", flag, value]

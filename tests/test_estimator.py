@@ -1,6 +1,4 @@
 import dataclasses
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -17,7 +15,6 @@ from revparams.estimator import (
     pipeline_for,
     temporal_average,
 )
-from revparams.gabor import build_diagonal_filterbank
 from revparams.grid import ClassGrid, ClassVocabulary, center_of
 
 GRID = ClassGrid()
@@ -37,29 +34,6 @@ class TestFilterbank:
     def test_one_shared_bank(self):
         assert filterbank() is filterbank()
         assert filterbank().feature_dim == 600
-
-    def test_concurrent_first_calls_build_one_bank(self, monkeypatch):
-        builds = []
-
-        def slow_build(*args):
-            builds.append(args)
-            time.sleep(0.05)  # hold every thread inside its first call
-            return build_diagonal_filterbank(*args)
-
-        monkeypatch.setattr(estimator, "build_diagonal_filterbank", slow_build)
-        estimator._build_filterbank.cache_clear()
-        try:
-            banks = []
-            threads = [threading.Thread(target=lambda: banks.append(filterbank())) for _ in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=10)
-                assert not thread.is_alive()
-        finally:
-            estimator._build_filterbank.cache_clear()
-        assert len(builds) == 1
-        assert len(banks) == 4 and all(bank is banks[0] for bank in banks)
 
     def test_every_array_is_read_only(self):
         bank = filterbank()

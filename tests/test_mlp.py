@@ -438,6 +438,17 @@ class TestGradient:
         model = make_model()
         with pytest.raises(ValueError):
             gradient(model, np.zeros((3, 5)), np.zeros(2, dtype=int))
+        # one label per row, each a class id in [0, C): C = 2 here
+        x = np.zeros((10, model.d))
+        bad = ((np.zeros(15, dtype=int), "one label per row"), ([0] * 9 + [-1], "outside"), ([0] * 9 + [7], "outside"))
+        for labels, match in bad:
+            for loss in (gradient, cross_entropy):
+                with pytest.raises(ValueError, match=match):
+                    loss(model, x, labels)
+        # no row at all
+        for loss in (gradient, cross_entropy):
+            with pytest.raises(ValueError, match="T >= 1"):
+                loss(model, np.zeros((0, model.d)), np.zeros(0, dtype=int))
         # features that are not (T, D): one row alone, or a stack of batches
         for shape in ((5,), (1, 1, 5)):
             with pytest.raises(ValueError):

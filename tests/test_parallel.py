@@ -239,13 +239,14 @@ class TestSplitRules:
 
 def test_only_parallel_imports_concurrent_futures():
     """Every thread that splits a stage or maps ``--jobs`` items is started
-    in ``revparams.parallel``."""
-    importers = [
-        path.name
-        for path in sorted(Path(parallel.__file__).parent.glob("*.py"))
-        if re.search(r"^\s*(import|from)\s+concurrent\b", path.read_text(), re.MULTILINE)
-    ]
-    assert importers == ["parallel.py"]
+    in ``revparams.parallel``, and no other module imports ``threading``."""
+    for module in ("concurrent", "threading"):
+        importers = [
+            path.name
+            for path in sorted(Path(parallel.__file__).parent.glob("*.py"))
+            if re.search(rf"^\s*(import|from)\s+{module}\b", path.read_text(), re.MULTILINE)
+        ]
+        assert importers == ["parallel.py"], module
 
 
 class TestGate:
