@@ -9,6 +9,7 @@ Diagnostics go to stderr; results go to stdout or the paths given by
 from __future__ import annotations
 
 import argparse
+import contextlib
 import glob
 import json
 import math
@@ -23,7 +24,7 @@ from scipy.io.wavfile import WavFileWarning
 from .acoustics import Rir, compute_drr, estimate_t60_from_edc, schroeder_edc
 from .audio_io import read_wav
 from .corpus import NOISE_KINDS, build_corpus, read_manifest_items
-from .estimator import estimate_from_posteriors, filterbank, frame_posteriors, gabor_features
+from .estimator import check_filterbank, estimate_from_posteriors, filterbank, frame_posteriors, gabor_features
 from .evaluate import evaluate, measure_rtf
 from .gabor import export_filterbank
 from .grid import ClassGrid, build_vocabulary, cell_of
@@ -41,6 +42,18 @@ class _Parser(argparse.ArgumentParser):
 
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
+
+
+@contextlib.contextmanager
+def _naming(name: str):
+    """Prefix a ValueError raised inside with ``name``, the input it is
+    about, unless its message starts with it already (read_wav's do)."""
+    try:
+        yield
+    except ValueError as exc:
+        if str(exc).startswith(f"{name}: "):
+            raise
+        raise ValueError(f"{name}: {exc}") from exc
 
 
 def _wav_files(directory: str) -> list:
@@ -93,7 +106,8 @@ def cmd_filters(args) -> int:
 
 
 def cmd_features(args) -> int:
-    feats = gabor_features(read_wav(args.input, channel=args.channel))
+    with _naming(args.input):
+        feats = gabor_features(read_wav(args.input, channel=args.channel))[0]
     if args.out:
         np.savetxt(args.out, feats, delimiter=",")
         _log(f"wrote {feats.shape[0]} x {feats.shape[1]} features to {args.out}")
@@ -144,16 +158,18 @@ def cmd_train(args) -> int:
     items = read_manifest_items(args.manifest)
     grid = ClassGrid()
     vocabulary = build_vocabulary(grid, [(it.t60, it.drr) for it in items])
-    for it in items:
-        expected = vocabulary.class_id_of(cell_of(grid, it.t60, it.drr))
-        if it.class_id != expected:
-            raise ValueError(
-                f"manifest class id {it.class_id} disagrees with grid cell (expected {expected})"
-            )
+    for i, it in enumerate(items):
+        with _naming(f"manifest item {i}"):
+            expected = vocabulary.class_id_of(cell_of(grid, it.t60, it.drr))
+            if it.class_id != expected:
+                raise ValueError(f"class id {it.class_id} disagrees with grid cell (expected {expected})")
     _log(f"extracting features for {len(items)} items")
     # float32 as extracted: train reads float32 matrices in place, so this
     # list is the one copy of the training set
-    dataset = [(gabor_features(read_wav(it.path)).astype(np.float32), it.class_id) for it in items]
+    dataset = []
+    for i, it in enumerate(items):
+        with _naming(f"manifest item {i}"):
+            dataset.append((gabor_features(it.audio())[0].astype(np.float32), it.class_id))
     _log(f"training {filterbank().feature_dim} -> {config.hidden_units} -> {len(vocabulary)}")
     model, history = train(dataset, config, grid, vocabulary)
     print("epoch\ttrain_ce\ttrain_acc\tval_ce\tval_acc")
@@ -183,14 +199,16 @@ def _posterior_csvs(directory: str, inputs: list) -> dict:
 def cmd_estimate(args) -> int:
     csvs = _posterior_csvs(args.per_frame, args.inputs) if args.per_frame else None
     model = load_model(args.model)
+    check_filterbank(model)  # once, before any input: the error is the model's
     if args.per_frame:
         os.makedirs(args.per_frame, exist_ok=True)
 
     def run_one(path):
-        post, times = frame_posteriors(read_wav(path, channel=args.channel), model)
-        if args.per_frame:
-            np.savetxt(csvs[path], post, delimiter=",")
-        return estimate_from_posteriors(post, model), times
+        with _naming(path):
+            post, times = frame_posteriors(read_wav(path, channel=args.channel), model)
+            if args.per_frame:
+                np.savetxt(csvs[path], post, delimiter=",")
+            return estimate_from_posteriors(post, model), times
 
     for path, (est, times) in zip(args.inputs, map_items(run_one, args.inputs, args.jobs)):
         print(f"{path}\t{est.t60_hat:.3f}\t{est.drr_hat:.1f}\t{est.class_id}\t{est.n_frames}")
@@ -246,11 +264,13 @@ def cmd_evaluate(args) -> int:
 
 def cmd_bench(args) -> int:
     model = load_model(args.model)
+    check_filterbank(model)
     runs = []
     for path in _wav_files(args.audio_dir):
-        audio = read_wav(path)
-        post, times = frame_posteriors(audio, model)
-        estimate_from_posteriors(post, model)
+        with _naming(path):
+            audio = read_wav(path)
+            post, times = frame_posteriors(audio, model)
+            estimate_from_posteriors(post, model)
         runs.append((times, audio.duration))
     print(_json(asdict(measure_rtf(runs))))
     return 0

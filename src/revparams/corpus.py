@@ -23,7 +23,7 @@ import numpy as np
 from scipy.signal import butter, fftconvolve, lfilter
 
 from .acoustics import Rir, compute_drr, estimate_t60_from_edc, schroeder_edc
-from .audio_io import SAMPLE_RATE, AudioBuffer, write_wav_pcm16
+from .audio_io import SAMPLE_RATE, AudioBuffer, read_wav, write_wav_pcm16
 from .grid import ClassGrid, ClassVocabulary, build_vocabulary, cell_of
 from .parallel import map_items
 
@@ -49,6 +49,14 @@ class CorpusItem:
     t60: float
     drr: float
     class_id: int
+
+    def audio(self) -> AudioBuffer:
+        """The item's audio: its buffer, or else the WAV at its path."""
+        if self.buffer is not None:
+            return self.buffer
+        if not self.path:
+            raise ValueError("item has neither buffer nor path")
+        return read_wav(self.path)
 
 
 @dataclass
@@ -112,7 +120,14 @@ def mix_at_snr(signal: AudioBuffer, noise: AudioBuffer, snr: float) -> AudioBuff
     p_noise = np.mean(nse**2)
     if p_sig <= 0.0 or p_noise <= 0.0:
         raise ValueError("signal and noise must both have nonzero power")
-    scale = np.sqrt(p_sig / (p_noise * 10.0 ** (snr / 10.0)))
+    try:
+        with np.errstate(over="ignore"):  # a numpy SNR overflows to inf, a Python float raises
+            ratio = 10.0 ** (snr / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not 0.0 < ratio < math.inf:
+        raise ValueError(f"SNR {snr:g} dB is out of range: 10^(SNR/10) is not a finite positive number")
+    scale = np.sqrt(p_sig / (p_noise * ratio))
     return AudioBuffer(sig + scale * nse)
 
 

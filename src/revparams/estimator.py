@@ -74,9 +74,25 @@ def filterbank() -> GaborFilterbank:
     return _FILTERBANK
 
 
-def gabor_features(audio: AudioBuffer) -> np.ndarray:
-    """Audio -> log-mel spectrogram -> Gabor features, (T, 600): one row per frame."""
-    return extract_features(log_mel_spectrogram(audio, FrameParams()), filterbank()).values
+def check_filterbank(model: MlpModel) -> None:
+    """Raise unless ``model`` takes the features of ``filterbank()``."""
+    if filterbank().feature_dim != model.d:
+        raise ValueError(f"filterbank feature dim {filterbank().feature_dim} != model input dim {model.d}")
+
+
+def gabor_features(audio: AudioBuffer) -> tuple:
+    """The one front end: (features, logmel_s, gabor_s), the (T, 600) Gabor
+    features of the log-mel spectrogram and the seconds each stage took.
+    Refuses audio below one frame and, before any front-end work, constant
+    audio, which has no reverberation cue yet would still get a cell."""
+    samples = audio.samples
+    if len(samples) >= FrameParams().frame_len and not (samples != samples[0]).any():
+        raise ValueError("silent input: every sample equals the first")
+    t0 = time.perf_counter()
+    spec = log_mel_spectrogram(audio, FrameParams())
+    t1 = time.perf_counter()
+    feats = extract_features(spec, filterbank()).values
+    return feats, t1 - t0, time.perf_counter() - t1
 
 
 def pipeline_for(model: MlpModel) -> tuple:
@@ -88,26 +104,14 @@ def frame_posteriors(audio: AudioBuffer, model: MlpModel) -> tuple:
     """Per-frame class posteriors (T x C) and the wall-clock StageTimes
     that produced them.
 
-    Raises, in this order, for a filterbank the model was not trained on,
-    for audio below one frame ("input too short") and for constant audio.
+    Raises, in this order, for a filterbank the model was not trained on
+    and for what ``gabor_features`` refuses.
     """
-    if filterbank().feature_dim != model.d:
-        raise ValueError(f"filterbank feature dim {filterbank().feature_dim} != model input dim {model.d}")
-    params = FrameParams()
-    # Constant audio (silence or a DC offset) carries no reverberation cue,
-    # yet the MLP still picks a cell. Refused before the front end runs;
-    # audio below one frame is left to its "input too short".
-    samples = audio.samples
-    if len(samples) >= params.frame_len and not (samples != samples[0]).any():
-        raise ValueError("silent input: every sample equals the first")
+    check_filterbank(model)
+    feats, logmel_s, gabor_s = gabor_features(audio)
     t0 = time.perf_counter()
-    spec = log_mel_spectrogram(audio, params)
-    t1 = time.perf_counter()
-    feats = extract_features(spec, filterbank()).values
-    t2 = time.perf_counter()
     post = forward(model, feats)
-    t3 = time.perf_counter()
-    return post, StageTimes(t1 - t0, t2 - t1, t3 - t2)
+    return post, StageTimes(logmel_s, gabor_s, time.perf_counter() - t0)
 
 
 def estimate_from_posteriors(posteriors: np.ndarray, model: MlpModel) -> Estimate:

@@ -6,9 +6,9 @@ interpolation, outliers beyond 1.5*IQR from the quartiles, whiskers at the
 most extreme non-outliers.
 
 Runtime cost is the real-time factor: processing time over audio duration,
-averaged as mean-of-ratios, with a per-stage split between feature
-extraction and the MLP forward pass. FPS converts via RTF = 100 / FPS at
-the 10 ms frame hop.
+averaged as mean-of-ratios, with a per-stage split over the three timed
+stages: log-mel spectrogram, Gabor features and MLP forward pass. FPS
+converts via RTF = 100 / FPS at the 10 ms frame hop.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio_io import read_wav
-from .estimator import StageTimes, estimate_from_posteriors, frame_posteriors
+from .estimator import StageTimes, check_filterbank, estimate_from_posteriors, frame_posteriors
 from .mlp import MlpModel
 from .parallel import map_items
 
@@ -113,14 +112,6 @@ class EvalResult:
     excluded: list = field(default_factory=list)  # (item_id, reason)
 
 
-def _load_item_audio(item):
-    if item.buffer is not None:
-        return item.buffer
-    if not item.path:
-        raise ValueError("item has neither buffer nor path")
-    return read_wav(item.path)
-
-
 def evaluate(items, model: MlpModel, jobs: int = 1) -> EvalResult:
     """Run the estimator over a list of CorpusItems and summarize errors by
     condition.
@@ -128,12 +119,15 @@ def evaluate(items, model: MlpModel, jobs: int = 1) -> EvalResult:
     Items that cannot be read or estimated (e.g. too short or silent) are
     excluded from the statistics and reported in ``excluded``, in item
     order for any ``jobs``. Use jobs=1 whenever the timing figures matter.
+    A model that does not take the filterbank's features raises before
+    any item is read.
     """
+    check_filterbank(model)
 
     def run_one(pair):
         idx, item = pair
         try:
-            audio = _load_item_audio(item)
+            audio = item.audio()
             post, times = frame_posteriors(audio, model)
             est = estimate_from_posteriors(post, model)
         except (OSError, ValueError) as exc:

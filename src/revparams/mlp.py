@@ -269,7 +269,8 @@ def glorot_init(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarr
 
 
 def _snap_f32(a: np.ndarray) -> np.ndarray:
-    return a.astype(np.float32).astype(np.float64)
+    with np.errstate(over="ignore"):  # train refuses the infinities, without a warning
+        return a.astype(np.float32).astype(np.float64)
 
 
 _METRICS_CHUNK = 8192  # rows per forward call, which bounds the posteriors held at once
@@ -311,7 +312,8 @@ def train(
     with momentum. Returns the snapshot with the best validation
     cross-entropy (training cross-entropy when no validation split) and the
     per-epoch history as a list of dicts; raises ValueError when no epoch's
-    cross-entropy is finite. ``grid`` and ``frame_params``
+    cross-entropy is finite or a weight of the best snapshot overflows
+    float32. ``grid`` and ``frame_params``
     can only be the fixed ``ClassGrid()`` and ``FrameParams()``, which the
     model carries as class constants.
 
@@ -418,7 +420,11 @@ def train(
     if best_score == np.inf:
         raise ValueError("no epoch gave a finite cross-entropy: non-finite features, or training diverged")
     for key in keys:
-        setattr(model, key, _snap_f32(getattr(best, key)))
+        snapped = _snap_f32(getattr(best, key))
+        # a finite cross-entropy does not bound the weights; load_model refuses infinite ones
+        if not np.isfinite(snapped).all():
+            raise ValueError(f"trained {key} has entries beyond float32 range: training diverged")
+        setattr(model, key, snapped)
     return model, history
 
 

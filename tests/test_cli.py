@@ -596,3 +596,135 @@ def test_estimate_jobs_flag(data_dirs, tmp_path, capsys):
     out_parallel = capsys.readouterr().out
     assert main(["estimate", *wavs, "--model", str(model_path)]) == 0
     assert capsys.readouterr().out == out_parallel
+
+
+def test_features_without_out_writes_the_out_bytes_to_stdout(tmp_path, capsys):
+    wav = tmp_path / "x.wav"
+    write_wav_pcm16(wav, make_speech_like(0.5, seed=1))
+    out = tmp_path / "feats.csv"
+    assert main(["features", str(wav), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["features", str(wav)]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+def test_features_constant_audio_exits_2_and_writes_no_csv(tmp_path, capsys):
+    wav = tmp_path / "constant.wav"
+    write_wav_pcm16(wav, AudioBuffer(np.full(16000, 0.1)))
+    out = tmp_path / "feats.csv"
+    assert main(["features", str(wav), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {wav}: silent input: every sample equals the first\n"
+    assert not out.exists()
+
+
+def _synth_corpus(data_dirs, out) -> Path:
+    """A 4-item noise-free corpus from ``data_dirs``; returns its manifest."""
+    speech_dir, rir_dir = data_dirs
+    argv = ["synth", "--speech-dir", str(speech_dir), "--rir-dir", str(rir_dir), "--noise", "none", "--out", str(out)]
+    assert main(argv) == 0
+    return out / "manifest.csv"
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda wav: write_wav_pcm16(wav, AudioBuffer(np.full(8000, 0.1))), "silent input"),
+        (lambda wav: write_wav_pcm16(wav, AudioBuffer(make_speech_like(0.5, seed=1).samples[:100])), "input too short"),
+    ],
+    ids=["constant", "100-samples"],
+)
+def test_train_refused_item_exits_2_naming_it(corrupt, message, data_dirs, tmp_path, capsys):
+    manifest = _synth_corpus(data_dirs, tmp_path / "corpus")
+    corrupt(manifest.parent / "item_00002.wav")
+    capsys.readouterr()
+    model_path = tmp_path / "m.rvpm"
+    assert main(["train", "--manifest", str(manifest), "--out", str(model_path)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: manifest item 2: {message}")
+    assert not model_path.exists()
+
+
+def test_train_item_without_path_exits_2_naming_it(data_dirs, tmp_path, capsys):
+    manifest = _synth_corpus(data_dirs, tmp_path / "corpus")
+    lines = manifest.read_text().splitlines(keepends=True)
+    manifest.write_text("".join(lines[:2]) + lines[2][lines[2].index(",") :] + "".join(lines[3:]))
+    capsys.readouterr()
+    model_path = tmp_path / "m.rvpm"
+    assert main(["train", "--manifest", str(manifest), "--out", str(model_path)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "error: manifest item 1: item has neither buffer nor path"
+    assert not model_path.exists()
+
+
+def test_train_class_id_disagreeing_with_its_cell_exits_2(data_dirs, tmp_path, capsys):
+    manifest = _synth_corpus(data_dirs, tmp_path / "corpus")
+    lines = manifest.read_text().splitlines(keepends=True)
+    lines[4] = lines[4][: lines[4].rindex(",")] + ",0\n"  # item 3 is in cell 1
+    manifest.write_text("".join(lines))
+    capsys.readouterr()
+    model_path = tmp_path / "m.rvpm"
+    assert main(["train", "--manifest", str(manifest), "--out", str(model_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: manifest item 3: class id 0 disagrees with grid cell (expected 1)\n"
+    assert not model_path.exists()
+
+
+def test_train_weights_beyond_float32_exit_2_without_a_warning(data_dirs, tmp_path):
+    manifest = _synth_corpus(data_dirs, tmp_path / "corpus")
+    model_path = tmp_path / "m.rvpm"
+    argv = ["train", "--manifest", str(manifest), "--out", str(model_path), "--lr", "1e300", "--epochs", "2"]
+    code, err = _run_cli([*argv, "--hidden", "4"], tmp_path)
+    assert code == 2
+    assert err.splitlines()[-1] == "error: trained w1 has entries beyond float32 range: training diverged"
+    assert "Warning" not in err
+    assert not model_path.exists()
+
+
+@pytest.mark.parametrize("snr", ["4000", "-4000"])
+def test_synth_snr_beyond_float_range_exits_2_naming_it(snr, data_dirs, tmp_path):
+    speech_dir, rir_dir = data_dirs
+    out = tmp_path / "corpus"
+    argv = ["synth", "--speech-dir", str(speech_dir), "--rir-dir", str(rir_dir), "--noise", "ambient", "--snr", snr]
+    code, err = _run_cli([*argv, "--out", str(out)], tmp_path)
+    assert code == 2
+    assert err == f"error: SNR {snr} dB is out of range: 10^(SNR/10) is not a finite positive number\n"
+    assert not (out / "manifest.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "bench"])
+def test_refused_input_is_named(command, model_600, tmp_path, capsys):
+    good, silent = tmp_path / "a.wav", tmp_path / "b.wav"
+    write_wav_pcm16(good, make_speech_like(0.5, seed=3))
+    write_wav_pcm16(silent, AudioBuffer(np.zeros(8000)))
+    argv = {
+        "estimate": ["estimate", str(good), str(silent)],
+        "bench": ["bench", "--audio-dir", str(tmp_path)],
+    }[command]
+    assert main([*argv, "--model", str(model_600)]) == 2
+    assert capsys.readouterr().err == f"error: {silent}: silent input: every sample equals the first\n"
+
+
+@pytest.mark.parametrize("command", ["estimate", "bench", "evaluate"])
+def test_model_of_another_input_dim_exits_2_before_reading_audio(command, tmp_path, monkeypatch, capsys):
+    write_wav_pcm16(tmp_path / "a.wav", make_speech_like(0.5, seed=3))
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(MANIFEST_HEADER + "a.wav,0,ambient,10,0.5,3,0\na.wav,0,ambient,10,0.5,3,1\n")
+    model = tmp_path / "m5.rvpm"
+    save_model(make_model(d=5), model)
+    monkeypatch.setattr(cli, "read_wav", lambda *a, **k: pytest.fail("read a WAV"))
+    monkeypatch.setattr(revparams.corpus, "read_wav", lambda *a, **k: pytest.fail("read a WAV"))
+    out = tmp_path / "r.csv"
+    argv = {
+        "estimate": ["estimate", str(tmp_path / "a.wav")],
+        "bench": ["bench", "--audio-dir", str(tmp_path)],
+        "evaluate": ["evaluate", "--manifest", str(manifest), "--out", str(out)],
+    }[command]
+    assert main([*argv, "--model", str(model)]) == 2
+    assert capsys.readouterr().err == "error: filterbank feature dim 600 != model input dim 5\n"
+    assert not out.exists()
+
+
+def test_bench_audio_dir_without_wav_exits_2(model_600, tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["bench", "--model", str(model_600), "--audio-dir", str(empty)]) == 2
+    assert capsys.readouterr().err == f"error: no .wav files in {empty}\n"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,21 @@ class TestMixAtSnr:
         added = mixed.samples - sig.samples
         measured = 10.0 * np.log10(np.mean(sig.samples**2) / np.mean(added**2))
         assert measured == pytest.approx(snr, abs=0.01)
+
+    @pytest.mark.parametrize("snr", [-300.0, -20.0, 0.0, 7.5, 30.0, 300.0])
+    def test_bits_of_the_closed_form(self, snr, rng):
+        sig = 0.2 * rng.standard_normal(4000)
+        nse = rng.standard_normal(4000)
+        want = sig + np.sqrt(np.mean(sig**2) / (np.mean(nse**2) * 10.0 ** (snr / 10.0))) * nse
+        assert np.array_equal(mix_at_snr(AudioBuffer(sig), AudioBuffer(nse), snr).samples, want)
+
+    @pytest.mark.parametrize("snr", [4000.0, -4000.0, np.float64(4000.0)])
+    def test_snr_beyond_float_range_raises_naming_it(self, snr, rng):
+        sig, nse = AudioBuffer(rng.standard_normal(100)), AudioBuffer(rng.standard_normal(100))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"SNR {snr:g} dB is out of range"):
+                mix_at_snr(sig, nse, snr)
 
     def test_zero_noise_raises(self, rng):
         with pytest.raises(ValueError):

@@ -12,10 +12,12 @@ from revparams.estimator import (
     estimate_utterance,
     filterbank,
     frame_posteriors,
+    gabor_features,
     pipeline_for,
     temporal_average,
 )
 from revparams.grid import ClassGrid, ClassVocabulary, center_of
+from revparams.mlp import forward
 
 GRID = ClassGrid()
 VOCAB = ClassVocabulary(((0, 0), (1, 2), (2, 4), (3, 6), (4, 8), (5, 10), (6, 12), (7, 14)))
@@ -151,6 +153,25 @@ class TestEstimateUtterance:
         with pytest.raises(ValueError, match="silent input"):
             frame_posteriors(AudioBuffer(np.full(8000, 0.1)), full_model())
         assert calls == []
+
+    def test_gabor_features_refuses_constant_input_before_the_front_end(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(estimator, "log_mel_spectrogram", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="silent input"):
+            gabor_features(AudioBuffer(np.full(8000, 0.1)))
+        assert calls == []
+
+    def test_posteriors_are_forward_of_gabor_features(self, monkeypatch, rng):
+        audio = AudioBuffer(0.1 * rng.standard_normal(8000))
+        feats, logmel_s, gabor_s = gabor_features(audio)
+        assert feats.shape == ((8000 - 400) // 160 + 1, 600)
+        assert logmel_s > 0.0 and gabor_s > 0.0
+        calls = []
+        real = estimator.gabor_features
+        monkeypatch.setattr(estimator, "gabor_features", lambda audio: calls.append(audio) or real(audio))
+        post, _ = frame_posteriors(audio, full_model())
+        assert calls == [audio]
+        assert np.array_equal(post, forward(full_model(), feats))
 
     @pytest.mark.parametrize("n, message", [(399, "input too short"), (400, "silent input")])
     def test_constant_input_below_one_frame_is_too_short(self, n, message):

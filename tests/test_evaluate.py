@@ -170,6 +170,14 @@ class TestEvaluate:
         assert result.records == [] and result.rtf is None
         assert result.excluded == [(0, "silent input: every sample equals the first")]
 
+    def test_model_of_another_input_dim_raises_before_reading_an_item(self):
+        def items():
+            pytest.fail("read an item")
+            yield
+
+        with pytest.raises(ValueError, match="filterbank feature dim 600 != model input dim 5"):
+            evaluate(items(), make_model(d=5))
+
     def test_parallel_jobs_match_serial(self):
         model = sure_model(winner=2)
         t60, drr = center_of(GRID, VOCAB.cells[2])

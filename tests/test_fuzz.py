@@ -1,8 +1,9 @@
 """Seeded mutation fuzz through the CLI's ``main``.
 
 Every input here is a valid file with some bytes truncated, overwritten or
-bit-flipped. Whatever the mutation, ``estimate`` and ``evaluate`` must exit
-0 or 2 and never raise: malformed input is a data error, not a crash.
+bit-flipped. Whatever the mutation, ``estimate``, ``features`` and
+``evaluate`` must exit 0 or 2 and never raise: malformed input is a data
+error, not a crash.
 """
 
 import struct
@@ -46,6 +47,7 @@ def inputs(tmp_path_factory):
     build_corpus(speech, rirs, ["ambient", "none"], [10], ClassGrid(), seed=1, out_dir=root / "corpus")
     manifest = root / "corpus" / "manifest.csv"
     assert main(["estimate", str(wav), "--model", str(model)]) == 0
+    assert main(["features", str(wav), "--out", str(root / "feats.csv")]) == 0
     assert main(["evaluate", "--manifest", str(manifest), "--model", str(model), "--out", str(root / "r.csv")]) == 0
     return root, wav, model, manifest
 
@@ -89,18 +91,21 @@ def test_mutated_input_exits_0_or_2(region, inputs, capsys):
     for name, path in paths.items():
         path.write_bytes(originals[name])
     if target == "csv":
-        argv = ["evaluate", "--manifest", str(paths["csv"]), "--model", str(model), "--out", str(root / "f.csv")]
+        argvs = [["evaluate", "--manifest", str(paths["csv"]), "--model", str(model), "--out", str(root / "f.csv")]]
     else:
-        argv = ["estimate", str(paths["wav"]), "--model", str(paths["rvpm"])]
+        argvs = [["estimate", str(paths["wav"]), "--model", str(paths["rvpm"])]]
+    if target == "wav":
+        argvs.append(["features", str(paths["wav"]), "--out", str(root / "feats.csv")])
 
     rng = np.random.default_rng(sorted(CASES).index(region))
     codes, failures = [], []
     for case in range(CASES[region]):
         paths[target].write_bytes(mutate(blob, lo, hi, rng))
-        try:
-            codes.append(main(argv))
-        except Exception as exc:  # the contract under test: nothing escapes main
-            failures.append((case, f"{type(exc).__name__}: {exc}"))
-        capsys.readouterr()
+        for argv in argvs:
+            try:
+                codes.append(main(argv))
+            except Exception as exc:  # the contract under test: nothing escapes main
+                failures.append((case, argv[0], f"{type(exc).__name__}: {exc}"))
+            capsys.readouterr()
     assert failures == []
     assert set(codes) <= {0, 2}

@@ -5,6 +5,7 @@ import os
 import struct
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -534,6 +535,15 @@ class TestTrain:
     def test_non_finite_learning_rate_is_refused(self, rate):
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=rate)
+
+    def test_weights_beyond_float32_raise_without_a_warning(self, rng):
+        # the cross-entropy stays finite (picked probabilities are floored), so only the snap can tell
+        data, _, _ = blob_dataset(rng)
+        cfg = TrainConfig(learning_rate=1e40, epochs=2, hidden_units=4, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="beyond float32 range"):
+                train(data, cfg, ClassGrid(), VOCAB2)
 
     def test_no_finite_epoch_raises(self, rng):
         # one NaN entry makes every epoch's score NaN, through the normalizer or the validation pass
