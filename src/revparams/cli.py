@@ -15,11 +15,9 @@ import json
 import math
 import os
 import sys
-import warnings
 from dataclasses import asdict
 
 import numpy as np
-from scipy.io.wavfile import WavFileWarning
 
 from .acoustics import Rir, compute_drr, estimate_t60_from_edc, schroeder_edc
 from .audio_io import read_wav
@@ -117,7 +115,8 @@ def cmd_features(args) -> int:
 
 
 def cmd_ground_truth(args) -> int:
-    rir = Rir(read_wav(args.rir, channel=args.channel))
+    with _naming(args.rir):
+        rir = Rir(read_wav(args.rir, channel=args.channel))
     drr = compute_drr(rir)
     try:
         t60 = estimate_t60_from_edc(schroeder_edc(rir))
@@ -128,9 +127,19 @@ def cmd_ground_truth(args) -> int:
     return 0
 
 
+def _read_each(directory: str, wrap=lambda audio: audio) -> list:
+    """``wrap(read_wav(path))`` for each WAV in ``directory``, in sorted
+    order; a ValueError names its file."""
+    out = []
+    for path in _wav_files(directory):
+        with _naming(path):
+            out.append(wrap(read_wav(path)))
+    return out
+
+
 def cmd_synth(args) -> int:
-    speech = [read_wav(p) for p in _wav_files(args.speech_dir)]
-    rirs = [Rir(read_wav(p)) for p in _wav_files(args.rir_dir)]
+    speech = _read_each(args.speech_dir)
+    rirs = _read_each(args.rir_dir, Rir)
     manifest = build_corpus(
         speech,
         rirs,
@@ -349,16 +358,11 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
-    # scipy warns about each WAV chunk it skips; read_wav already turns the
-    # files it cannot parse into errors. Filters are process-wide, so this
-    # one also covers reads on --jobs worker threads.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", WavFileWarning)
-        try:
-            return args.func(args)
-        except (ValueError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

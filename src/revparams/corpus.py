@@ -9,7 +9,8 @@ Noise kinds are synthetic stand-ins with the right coarse character:
 ``ambient`` is pink noise from a cascaded first-order IIR approximation,
 ``fan`` is pink noise low-passed at 500 Hz, and ``babble`` sums four
 amplitude-modulated speech-shaped noise sources. All are unit RMS before
-SNR scaling.
+SNR scaling. Each function here imports scipy.signal itself: only
+synthesis uses it, so estimating never loads it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import butter, fftconvolve, lfilter
 
 from .acoustics import Rir, compute_drr, estimate_t60_from_edc, schroeder_edc
 from .audio_io import SAMPLE_RATE, AudioBuffer, read_wav, write_wav_pcm16
@@ -68,10 +68,12 @@ class CorpusManifest:
 
 def convolve(speech: AudioBuffer, rir: Rir) -> AudioBuffer:
     """Full linear convolution; output length N + L - 1."""
+    from scipy.signal import fftconvolve
     return AudioBuffer(fftconvolve(speech.samples, rir.taps.samples))
 
 
 def _pink(n: int, rng: np.random.Generator) -> np.ndarray:
+    from scipy.signal import lfilter
     x = rng.standard_normal(n + _WARMUP)
     for fp, fz in zip(_PINK_POLES_HZ, _PINK_ZEROS_HZ):
         rp = np.exp(-2.0 * np.pi * fp / SAMPLE_RATE)
@@ -88,6 +90,7 @@ def _unit_rms(x: np.ndarray) -> np.ndarray:
 
 
 def _babble_source(n: int, rng: np.random.Generator) -> np.ndarray:
+    from scipy.signal import butter, lfilter
     carrier = lfilter(*butter(1, 500.0 / _NYQUIST_HZ, btype="low"), rng.standard_normal(n + _WARMUP))
     syllabic = lfilter(*butter(2, 3.5 / _NYQUIST_HZ, btype="low"), rng.standard_normal(n + _WARMUP))
     return (carrier * np.abs(syllabic))[_WARMUP:]
@@ -95,6 +98,7 @@ def _babble_source(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def gen_noise(kind: str, duration: float, seed) -> AudioBuffer:
     """Generate ``duration`` seconds of unit-RMS noise, deterministic per seed."""
+    from scipy.signal import butter, lfilter
     if duration <= 0:
         raise ValueError("duration must be positive")
     n = int(round(duration * SAMPLE_RATE))
@@ -110,6 +114,18 @@ def gen_noise(kind: str, duration: float, seed) -> AudioBuffer:
     return AudioBuffer(_unit_rms(x))
 
 
+def _power_ratio(snr: float) -> float:
+    """10^(snr/10), refused unless it is a finite positive number."""
+    try:
+        with np.errstate(over="ignore"):  # a numpy SNR overflows to inf, a Python float raises
+            ratio = 10.0 ** (snr / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not 0.0 < ratio < math.inf:
+        raise ValueError(f"SNR {snr:g} dB is out of range: 10^(SNR/10) is not a finite positive number")
+    return ratio
+
+
 def mix_at_snr(signal: AudioBuffer, noise: AudioBuffer, snr: float) -> AudioBuffer:
     """Add noise scaled so the full-signal mean-square SNR is exactly ``snr`` dB."""
     if len(noise) < len(signal):
@@ -120,14 +136,7 @@ def mix_at_snr(signal: AudioBuffer, noise: AudioBuffer, snr: float) -> AudioBuff
     p_noise = np.mean(nse**2)
     if p_sig <= 0.0 or p_noise <= 0.0:
         raise ValueError("signal and noise must both have nonzero power")
-    try:
-        with np.errstate(over="ignore"):  # a numpy SNR overflows to inf, a Python float raises
-            ratio = 10.0 ** (snr / 10.0)
-    except OverflowError:
-        ratio = math.inf
-    if not 0.0 < ratio < math.inf:
-        raise ValueError(f"SNR {snr:g} dB is out of range: 10^(SNR/10) is not a finite positive number")
-    scale = np.sqrt(p_sig / (p_noise * ratio))
+    scale = np.sqrt(p_sig / (p_noise * _power_ratio(snr)))
     return AudioBuffer(sig + scale * nse)
 
 
@@ -138,6 +147,7 @@ def make_speech_like(duration: float, seed) -> AudioBuffer:
 
     Stands in for recorded speech in desk-scale experiments.
     """
+    from scipy.signal import butter, lfilter
     if duration <= 0:
         raise ValueError("duration must be positive")
     rng = np.random.default_rng(seed)
@@ -197,7 +207,8 @@ def build_corpus(
     16-bit PCM WAVs next to a ``manifest.csv``; otherwise buffers are kept
     in memory. Item rendering parallelizes over ``jobs`` workers; outputs
     are identical for any job count because every item's noise seed is
-    pre-assigned.
+    pre-assigned. An error about one RIR or item starts with its indices
+    (0-based, in input order), such as ``utterance 2, RIR 0: ...``.
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
@@ -214,9 +225,16 @@ def build_corpus(
         elif not snr_list:
             raise ValueError(f"noise kind {kind!r} requires at least one SNR")
         else:
-            conditions.extend((kind, snr) for snr in snr_list)
+            for snr in snr_list:
+                _power_ratio(snr)  # refused as the SNR's error, before any item is rendered
+                conditions.append((kind, snr))
 
-    truths = [(estimate_t60_from_edc(schroeder_edc(r)), compute_drr(r)) for r in rirs]
+    truths = []
+    for rir_id, rir in enumerate(rirs):
+        try:
+            truths.append((estimate_t60_from_edc(schroeder_edc(rir)), compute_drr(rir)))
+        except ValueError as exc:
+            raise ValueError(f"RIR {rir_id}: {exc}") from exc
     vocabulary = build_vocabulary(grid, truths)
 
     children = np.random.SeedSequence(seed).spawn(len(speech) * len(conditions))
@@ -228,7 +246,10 @@ def build_corpus(
 
     def render(task):
         i, rir_id, kind, snr, child = task
-        return _render_item(speech[i], rirs[rir_id], kind, snr, child)
+        try:
+            return _render_item(speech[i], rirs[rir_id], kind, snr, child)
+        except ValueError as exc:
+            raise ValueError(f"utterance {i}, RIR {rir_id}: {exc}") from exc
 
     rendered = map_items(render, tasks, jobs)
 

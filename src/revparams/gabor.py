@@ -46,7 +46,6 @@ from dataclasses import dataclass, field
 from itertools import groupby
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from . import parallel
 from .frontend import LogMelSpectrogram
@@ -238,6 +237,19 @@ def _time_kernel_groups(filters: tuple, n_mels: int, pad: int) -> tuple:
     return tuple(groups)
 
 
+def _fast_len(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n: the FFT length scipy.fft.next_fast_len(n, real=True) picks."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())  # least p35 * 2^a >= n
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def extract_features(spec: LogMelSpectrogram, bank: GaborFilterbank) -> FeatureMatrix:
     """Filter a log-mel spectrogram with every filter in the bank and sample
     each response at that filter's representative channels.
@@ -251,7 +263,7 @@ def extract_features(spec: LogMelSpectrogram, bank: GaborFilterbank) -> FeatureM
     n_frames, pad = values.shape[0], bank.pad
     # Correlation through one FFT length: no wrap-around reaches the n_frames
     # outputs as long as n_fft covers the padded input.
-    n_fft = next_fast_len(n_frames + 2 * pad, real=True)
+    n_fft = _fast_len(n_frames + 2 * pad)
     spectrum = np.fft.rfft(np.pad(values, ((pad, pad), (0, 0)), mode="edge"), n_fft, axis=0)
     out = np.empty((n_frames, bank.feature_dim))
 

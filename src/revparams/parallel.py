@@ -43,7 +43,11 @@ _OPENBLAS_THREAD_GETTERS = [f"{p}get_num_threads{s}" for p in ("scipy_openblas_"
 def _blas_threads() -> int | None:
     """The thread count that every OpenBLAS mapped into this process reports
     (numpy and scipy each bundle one), or None when there is none, they
-    disagree, or one cannot be asked."""
+    disagree, or one cannot be asked.
+
+    The package imports scipy only for corpus synthesis, so outside
+    ``synth`` only numpy's OpenBLAS is mapped when ``two_cores()`` first
+    runs. The split stages use numpy's BLAS alone."""
     try:
         with open("/proc/self/maps") as fh:
             paths = {line.split()[-1] for line in fh}

@@ -728,3 +728,84 @@ def test_bench_audio_dir_without_wav_exits_2(model_600, tmp_path, capsys):
     empty.mkdir()
     assert main(["bench", "--model", str(model_600), "--audio-dir", str(empty)]) == 2
     assert capsys.readouterr().err == f"error: no .wav files in {empty}\n"
+
+
+def _synth_argv(speech_dir, rir_dir, out):
+    dirs = ["--speech-dir", str(speech_dir), "--rir-dir", str(rir_dir)]
+    return ["synth", *dirs, "--noise", "ambient", "--snr", "10", "--out", str(out)]
+
+
+def test_synth_zero_rir_exits_2_naming_its_file(data_dirs, tmp_path, capsys):
+    speech_dir, rir_dir = data_dirs
+    zero = rir_dir / "rir_1.wav"
+    write_wav_pcm16(zero, AudioBuffer(np.zeros(1600)))
+    assert main(_synth_argv(speech_dir, rir_dir, tmp_path / "corpus")) == 2
+    assert capsys.readouterr().err == f"error: {zero}: RIR has zero energy\n"
+
+
+def test_synth_zero_utterance_exits_2_naming_its_item(data_dirs, tmp_path, capsys):
+    speech_dir, rir_dir = data_dirs
+    write_wav_pcm16(speech_dir / "utt_2.wav", AudioBuffer(np.zeros(8000)))
+    out = tmp_path / "corpus"
+    assert main(_synth_argv(speech_dir, rir_dir, out)) == 2
+    err = capsys.readouterr().err
+    assert err == "error: utterance 2, RIR 0: signal and noise must both have nonzero power\n"
+    assert not (out / "manifest.csv").exists()
+
+
+def test_synth_rir_without_decay_exits_2_naming_its_index(data_dirs, tmp_path, capsys):
+    speech_dir, rir_dir = data_dirs
+    taps = np.zeros(1600)
+    taps[100] = 0.9
+    write_wav_pcm16(rir_dir / "rir_1.wav", AudioBuffer(taps))
+    assert main(_synth_argv(speech_dir, rir_dir, tmp_path / "corpus")) == 2
+    assert capsys.readouterr().err.startswith("error: RIR 1: insufficient decay range")
+
+
+def test_ground_truth_zero_rir_exits_2_naming_its_file(tmp_path, capsys):
+    zero = tmp_path / "zero.wav"
+    write_wav_pcm16(zero, AudioBuffer(np.zeros(1600)))
+    assert main(["ground-truth", str(zero)]) == 2
+    assert capsys.readouterr().err == f"error: {zero}: RIR has zero energy\n"
+
+
+_IMPORT_PROBE = """
+import json, sys
+from revparams.cli import main
+
+loaded = {}
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    loaded[argv[0]] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps(loaded))
+"""
+
+
+def test_only_synth_loads_scipy(data_dirs, tmp_path):
+    """One fresh interpreter runs the numpy-only commands, then synth; scipy
+    stays unloaded until synth needs scipy.signal."""
+    manifest = _synth_corpus(data_dirs, tmp_path / "corpus")
+    wav, model = str(manifest.parent / "item_00000.wav"), str(tmp_path / "m.rvpm")
+    argvs = [
+        ["train", "--manifest", str(manifest), "--out", model, "--epochs", "1", "--hidden", "4"],
+        ["estimate", wav, "--model", model],
+        ["features", wav, "--out", str(tmp_path / "f.csv")],
+        ["evaluate", "--manifest", str(manifest), "--model", model, "--out", str(tmp_path / "r.csv")],
+        ["bench", "--model", model, "--audio-dir", str(manifest.parent)],
+        _synth_argv(*data_dirs, tmp_path / "corpus2"),
+    ]
+    env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert {command: loaded[command] for command in loaded if command != "synth"} == {
+        command: [] for command in ("train", "estimate", "features", "evaluate", "bench")
+    }
+    assert "scipy.signal" in loaded["synth"]

@@ -295,3 +295,14 @@ def test_export_filterbank_bytes_are_pinned(tmp_path):
     export_filterbank(BANK, tmp_path)
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert written == EXPORT_SHA256
+
+
+def test_fft_length_matches_scipy_next_fast_len():
+    """The 5-smooth search picks scipy's real-FFT length for every n up to
+    2^17 (about 22 minutes of frames), so the features keep their bits."""
+    from scipy.fft import next_fast_len
+
+    from revparams.gabor import _fast_len
+
+    ns = range(1, 2**17 + 1)
+    assert [_fast_len(n) for n in ns] == [next_fast_len(n, real=True) for n in ns]
