@@ -178,6 +178,8 @@ def make_speech_like(duration: float, seed) -> AudioBuffer:
 
 def _render_item(utt: AudioBuffer, rir: Rir, kind: str, snr, child_seed) -> AudioBuffer:
     if kind == "none":
+        if np.mean(utt.samples**2) <= 0.0:  # an all-zero item, which train and estimate refuse as silent
+            raise ValueError("signal must have nonzero power")
         mixed = utt
     else:
         noise = gen_noise(kind, duration=utt.duration, seed=child_seed)

@@ -1,9 +1,9 @@
 """The threading policy: when work runs on a second core, and the item map.
 
-One gate, ``two_cores()``: the loaded OpenBLAS runs one thread and the
-process may use two or more CPUs. Two callers of a multi-threaded BLAS
-oversubscribe the cores and run slower than one. It is evaluated once per
-process.
+One gate, ``two_cores()``: the OpenBLAS that numpy calls runs one thread
+and the process may use two or more CPUs. Two callers of a multi-threaded
+BLAS oversubscribe the cores and run slower than one. It is evaluated once
+per process.
 
 - ``row_blocks`` cuts an input into near-equal blocks of at most
   BLOCK_ROWS (1,024) rows, the unit of the log-mel and MLP stages.
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import contextvars
 import ctypes
+import importlib
 import os
 import threading
 from concurrent import futures
@@ -36,33 +37,24 @@ import numpy as np
 
 BLOCK_ROWS = 1024
 
-# numpy and scipy bundle OpenBLAS builds with prefixed and 64-bit-index names.
+# The thread-count getters of OpenBLAS builds, plain and with the prefixed,
+# 64-bit-index names of the build that numpy wheels bundle.
 _OPENBLAS_THREAD_GETTERS = [f"{p}get_num_threads{s}" for p in ("scipy_openblas_", "openblas_") for s in ("64_", "")]
 
 
 def _blas_threads() -> int | None:
-    """The thread count that every OpenBLAS mapped into this process reports
-    (numpy and scipy each bundle one), or None when there is none, they
-    disagree, or one cannot be asked.
+    """The thread count of the OpenBLAS that numpy's matmul calls, or None
+    when that BLAS has no OpenBLAS thread-count getter.
 
-    The package imports scipy only for corpus synthesis, so outside
-    ``synth`` only numpy's OpenBLAS is mapped when ``two_cores()`` first
-    runs. The split stages use numpy's BLAS alone."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = {line.split()[-1] for line in fh}
-        counts = set()
-        for path in (p for p in paths if "openblas" in os.path.basename(p).lower()):
-            lib = ctypes.CDLL(path)
-            getter = next((getattr(lib, name) for name in _OPENBLAS_THREAD_GETTERS if hasattr(lib, name)), None)
-            if getter is None:
-                return None
-            getter.argtypes = []
-            getter.restype = ctypes.c_int
-            counts.add(getter())
-    except OSError:
+    ``dlsym`` on numpy's own extension module searches the libraries it
+    links, so this asks the one BLAS that the split stages use."""
+    core = "numpy._core" if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else "numpy.core"
+    lib = ctypes.CDLL(importlib.import_module(f"{core}._multiarray_umath").__file__)
+    getter = next((getattr(lib, name) for name in _OPENBLAS_THREAD_GETTERS if hasattr(lib, name)), None)
+    if getter is None:
         return None
-    return counts.pop() if len(counts) == 1 else None
+    getter.restype = ctypes.c_int
+    return getter()
 
 
 @lru_cache(maxsize=1)
@@ -119,8 +111,10 @@ def split(fn, items, n_rows: int) -> None:
 
 
 def map_items(fn, items, jobs: int) -> list:
-    """``[fn(item) for item in items]`` in order, over ``jobs`` threads."""
+    """``[fn(item) for item in items]`` in order, over ``jobs`` threads, each
+    item in a copy of the caller's context (numpy's error state included)."""
     if jobs == 1:
         return [fn(item) for item in items]
+    context = contextvars.copy_context()
     with futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(lambda item: context.copy().run(fn, item), items))

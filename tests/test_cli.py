@@ -753,6 +753,18 @@ def test_synth_zero_utterance_exits_2_naming_its_item(data_dirs, tmp_path, capsy
     assert not (out / "manifest.csv").exists()
 
 
+def test_synth_zero_utterance_without_noise_exits_2_naming_its_item(data_dirs, tmp_path, capsys):
+    """Under ``--noise none`` an all-zero utterance would be an all-zero
+    item, which ``train`` and ``estimate`` refuse as silent."""
+    speech_dir, rir_dir = data_dirs
+    write_wav_pcm16(speech_dir / "utt_2.wav", AudioBuffer(np.zeros(8000)))
+    out = tmp_path / "corpus"
+    argv = ["synth", "--speech-dir", str(speech_dir), "--rir-dir", str(rir_dir), "--noise", "none", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: utterance 2, RIR 0: signal must have nonzero power\n"
+    assert not (out / "manifest.csv").exists()
+
+
 def test_synth_rir_without_decay_exits_2_naming_its_index(data_dirs, tmp_path, capsys):
     speech_dir, rir_dir = data_dirs
     taps = np.zeros(1600)

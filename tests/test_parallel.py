@@ -1,8 +1,13 @@
 """The threading policy of ``revparams.parallel``: ``split`` against the
 serial loop at tolerance 0, its exception and thread rules, the once-per-
-process gate, and ``--jobs`` workers that never split."""
+process gate and its answer from the real BLAS, and ``--jobs`` workers
+that never split."""
 
+import json
+import os
 import re
+import shutil
+import subprocess
 import sys
 import threading
 from concurrent import futures
@@ -24,6 +29,7 @@ from revparams.grid import ClassVocabulary
 from revparams.mlp import forward, save_model
 from revparams.parallel import BLOCK_ROWS, split
 
+SRC = str(Path(parallel.__file__).resolve().parents[1])
 HELPER = "revparams-split"
 JOIN_TIMEOUT_S = 30.0
 
@@ -236,6 +242,12 @@ class TestSplitRules:
             split(lambda item: states.append(np.geterr()["divide"]), range(2), self.N_ROWS)
         assert states == ["raise", "raise"]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_map_items_runs_in_the_callers_numpy_error_state(self, jobs):
+        with np.errstate(over="raise"):
+            states = parallel.map_items(lambda _: np.geterr()["over"], [0, 1], jobs)
+        assert states == ["raise", "raise"]
+
 
 def test_only_parallel_imports_concurrent_futures():
     """Every thread that splits a stage or maps ``--jobs`` items is started
@@ -249,23 +261,63 @@ def test_only_parallel_imports_concurrent_futures():
         assert importers == ["parallel.py"], module
 
 
+_GATE_PROBE = """
+import json, numpy
+from revparams import parallel
+print(json.dumps([numpy.__file__, parallel._blas_threads(), parallel.two_cores()]))
+"""
+
+
+def probe_gate(blas_threads: int, *path: Path) -> tuple:
+    """``(numpy.__file__, _blas_threads(), two_cores())`` of a fresh
+    interpreter with OpenBLAS at ``blas_threads`` threads and ``path``
+    ahead of the package on its import path."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(blas_threads)}
+    env["PYTHONPATH"] = os.pathsep.join([*map(str, path), SRC])
+    proc = subprocess.run([sys.executable, "-c", _GATE_PROBE], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return tuple(json.loads(proc.stdout))
+
+
+real_openblas = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or parallel._blas_threads() is None,
+    reason="needs sched_getaffinity and a numpy that calls OpenBLAS",
+)
+
+
 class TestGate:
-    def test_two_cores_reads_the_maps_once_per_process(self, monkeypatch):
-        reads = []
-
-        def spy_open(path, *args, **kwargs):
-            reads.append(path)
-            return open(path, *args, **kwargs)
-
-        monkeypatch.setattr(parallel, "open", spy_open, raising=False)
+    def test_two_cores_asks_the_blas_once_per_process(self, monkeypatch):
+        asked = []
+        monkeypatch.setattr(parallel, "_blas_threads", lambda: asked.append(1) or 1)
         monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         parallel.two_cores.cache_clear()
         try:
-            answers = {parallel.two_cores() for _ in range(5)}
-            assert reads == ["/proc/self/maps"]
-            assert answers == {parallel.two_cores.__wrapped__()}
+            assert [parallel.two_cores() for _ in range(5)] == [True] * 5
+            assert asked == [1]
         finally:
             parallel.two_cores.cache_clear()  # the next call asks this process again, unpatched
+
+    @real_openblas
+    @pytest.mark.parametrize("blas_threads", [1, 2])
+    def test_gate_asks_the_real_blas(self, blas_threads):
+        cpus = len(os.sched_getaffinity(0))
+        _, threads, gate = probe_gate(blas_threads)
+        assert threads == min(blas_threads, cpus)  # OpenBLAS caps the count at the CPUs it may use
+        assert gate == (blas_threads == 1 and cpus >= 2)
+
+    @real_openblas
+    def test_gate_opens_when_numpys_path_has_a_space(self, tmp_path):
+        numpy_dir = Path(np.__file__).parent
+        libs = numpy_dir.with_name("numpy.libs")
+        if not libs.is_dir():
+            pytest.skip("numpy has no bundled numpy.libs (a system or conda build)")
+        spaced = tmp_path / "sp ace"
+        for source in (numpy_dir, libs):
+            shutil.copytree(source, spaced / source.name, ignore=shutil.ignore_patterns("tests", "__pycache__"))
+        numpy_file, threads, gate = probe_gate(1, spaced)
+        assert Path(numpy_file).is_relative_to(spaced)
+        assert threads == 1
+        assert gate == (len(os.sched_getaffinity(0)) >= 2)
 
     def test_real_gate_gives_the_serial_bits(self, monkeypatch, rng):
         """Whatever this process's gate says, split or not."""
