@@ -36,15 +36,14 @@ from .evaluate import (
     measure_rtf,
 )
 from .frontend import (
+    FrameMatrix,
     FrameParams,
-    LogMelSpectrogram,
     frame_signal,
     log_mel_spectrogram,
     mel_filterbank,
     power_spectrum,
 )
 from .gabor import (
-    FeatureMatrix,
     GaborFilter,
     GaborFilterbank,
     GaborFilterSpec,

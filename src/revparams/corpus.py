@@ -62,7 +62,6 @@ class CorpusItem:
 @dataclass
 class CorpusManifest:
     items: list
-    grid: ClassGrid
     vocabulary: ClassVocabulary
 
 
@@ -96,12 +95,18 @@ def _babble_source(n: int, rng: np.random.Generator) -> np.ndarray:
     return (carrier * np.abs(syllabic))[_WARMUP:]
 
 
+def _n_samples(duration: float) -> int:
+    """``duration`` seconds in whole samples, refused below one sample."""
+    n = int(round(duration * SAMPLE_RATE))
+    if n < 1:
+        raise ValueError(f"duration must be at least one sample, got {duration:g} s")
+    return n
+
+
 def gen_noise(kind: str, duration: float, seed) -> AudioBuffer:
     """Generate ``duration`` seconds of unit-RMS noise, deterministic per seed."""
     from scipy.signal import butter, lfilter
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    n = int(round(duration * SAMPLE_RATE))
+    n = _n_samples(duration)
     rng = np.random.default_rng(seed)
     if kind == "ambient":
         x = _pink(n, rng)
@@ -128,6 +133,8 @@ def _power_ratio(snr: float) -> float:
 
 def mix_at_snr(signal: AudioBuffer, noise: AudioBuffer, snr: float) -> AudioBuffer:
     """Add noise scaled so the full-signal mean-square SNR is exactly ``snr`` dB."""
+    if len(signal) == 0:
+        raise ValueError("signal has no samples")
     if len(noise) < len(signal):
         raise ValueError(f"noise ({len(noise)} samples) shorter than signal ({len(signal)})")
     sig = signal.samples
@@ -148,10 +155,8 @@ def make_speech_like(duration: float, seed) -> AudioBuffer:
     Stands in for recorded speech in desk-scale experiments.
     """
     from scipy.signal import butter, lfilter
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    n = _n_samples(duration)
     rng = np.random.default_rng(seed)
-    n = int(round(duration * SAMPLE_RATE))
 
     f0 = rng.uniform(105.0, 225.0)
     drift = lfilter(*butter(2, 2.0 / _NYQUIST_HZ, btype="low"), rng.standard_normal(n))
@@ -177,6 +182,8 @@ def make_speech_like(duration: float, seed) -> AudioBuffer:
 
 
 def _render_item(utt: AudioBuffer, rir: Rir, kind: str, snr, child_seed) -> AudioBuffer:
+    if len(utt) == 0:  # refused here under every condition, before any mean of no samples
+        raise ValueError("signal has no samples")
     if kind == "none":
         if np.mean(utt.samples**2) <= 0.0:  # an all-zero item, which train and estimate refuse as silent
             raise ValueError("signal must have nonzero power")
@@ -269,7 +276,7 @@ def build_corpus(
             buffer = None
         items.append(CorpusItem(path, buffer, rir_id, kind, snr, t60, drr, class_id))
 
-    manifest = CorpusManifest(items, grid, vocabulary)
+    manifest = CorpusManifest(items, vocabulary)
     if out_dir is not None:
         write_manifest_csv(manifest, os.path.join(out_dir, "manifest.csv"))
     return manifest

@@ -65,7 +65,7 @@ def decide(mean_posterior: np.ndarray, vocabulary: ClassVocabulary, grid: ClassG
     return class_id, t60_hat, drr_hat
 
 
-_FILTERBANK = build_diagonal_filterbank(FrameParams().n_mels, FrameParams().frame_rate())
+_FILTERBANK = build_diagonal_filterbank()
 
 
 def filterbank() -> GaborFilterbank:

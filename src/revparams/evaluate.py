@@ -8,7 +8,8 @@ most extreme non-outliers.
 Runtime cost is the real-time factor: processing time over audio duration,
 averaged as mean-of-ratios, with a per-stage split over the three timed
 stages: log-mel spectrogram, Gabor features and MLP forward pass. FPS
-converts via RTF = 100 / FPS at the 10 ms frame hop.
+converts via RTF = frame rate / FPS, with the front end's
+``FrameParams().frame_rate()`` of 100 frames/s (10 ms hop).
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimator import StageTimes, check_filterbank, estimate_from_posteriors, frame_posteriors
+from .frontend import FrameParams
 from .mlp import MlpModel
 from .parallel import map_items
-
-FRAMES_PER_SECOND_NOMINAL = 100.0  # 10 ms hop
 
 
 @dataclass
@@ -79,10 +79,10 @@ class RtfReport:
 
 
 def fps_to_rtf(fps: float) -> float:
-    """Real-time factor of a classifier running at ``fps`` 10 ms frames/s."""
+    """Real-time factor of a classifier running at ``fps`` front-end frames/s."""
     if fps <= 0:
         raise ValueError(f"fps must be positive, got {fps}")
-    return 100.0 / fps
+    return FrameParams().frame_rate() / fps
 
 
 def measure_rtf(runs) -> RtfReport:
@@ -100,7 +100,7 @@ def measure_rtf(runs) -> RtfReport:
         "gabor": float(np.mean(np.asarray([t.gabor_s for t, _ in runs]) / audio)),
         "mlp_forward": float(np.mean(np.asarray([t.mlp_s for t, _ in runs]) / audio)),
     }
-    fps = FRAMES_PER_SECOND_NOMINAL * audio.sum() / proc.sum() if proc.sum() > 0 else float("inf")
+    fps = FrameParams().frame_rate() * audio.sum() / proc.sum() if proc.sum() > 0 else float("inf")
     return RtfReport(mean_rtf=float(np.mean(proc / audio)), fps=float(fps), stage_rtf=stage_rtf)
 
 

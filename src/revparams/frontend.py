@@ -7,6 +7,10 @@ filters between 64 Hz and 8 kHz, natural log with an energy floor.
 No pre-emphasis and no mean subtraction happen here; feature normalization
 lives entirely in the classifier.
 
+``FrameParams()`` is the one definition of these numbers, the frame rate
+included. ``FrameMatrix`` is the one per-frame matrix type: this stage and
+the Gabor stage both return one.
+
 The frames are processed in ``parallel.row_blocks``, each block writing its
 own rows of the spectrogram, and shared with a helper thread as
 ``parallel.split`` decides; the bits are those of the serial loop.
@@ -42,8 +46,9 @@ class FrameParams:
 
 
 @dataclass
-class LogMelSpectrogram:
-    """T x n_mels matrix of natural-log mel energies."""
+class FrameMatrix:
+    """One row per frame: the T x n_mels log-mel spectrogram, or the
+    T x feature_dim Gabor features computed from it."""
 
     values: np.ndarray
 
@@ -108,7 +113,7 @@ def power_spectrum(frames: np.ndarray, params: FrameParams = FrameParams()) -> n
     return np.square(power, out=power)
 
 
-def log_mel_spectrogram(audio: AudioBuffer, params: FrameParams = FrameParams()) -> LogMelSpectrogram:
+def log_mel_spectrogram(audio: AudioBuffer, params: FrameParams = FrameParams()) -> FrameMatrix:
     """Full front end: framing, Hann window, power FFT, mel filtering, natural log.
 
     Every output entry is >= ln(log_floor). Works through ``row_blocks``,
@@ -127,4 +132,4 @@ def log_mel_spectrogram(audio: AudioBuffer, params: FrameParams = FrameParams())
         np.log(out, out=out)
 
     parallel.split(block, row_blocks(frames, values), len(frames))
-    return LogMelSpectrogram(values)
+    return FrameMatrix(values)

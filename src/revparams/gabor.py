@@ -11,8 +11,10 @@ A filter's response is the same-size 2D correlation of the log-mel
 spectrogram with its kernel, aligned to the envelope peak, with the
 spectrogram edge-replicated on both axes. It is sampled at a per-filter
 subset of mel channels ("representative channels", stride 1/(4|f_s|));
-concatenated over the default 26-channel bank this yields exactly 600
-features per frame.
+concatenated over the default bank, built for ``FrameParams()``'s 26
+channels at 100 frames/s, this yields exactly 600 features per frame.
+``extract_features`` returns them as the front end's ``FrameMatrix``, one
+row per log-mel frame.
 
 The bank applies all 48 filters as one linear operator, derived once when
 the bank is built:
@@ -48,7 +50,7 @@ from itertools import groupby
 import numpy as np
 
 from . import parallel
-from .frontend import LogMelSpectrogram
+from .frontend import FrameMatrix, FrameParams
 
 TEMPORAL_MOD_HZ = (2.4, 3.9, 6.2, 9.9, 15.7, 25.0)
 SPECTRAL_MOD_CYC = (0.03125, 0.0625, 0.125, 0.25)
@@ -72,10 +74,6 @@ class GaborFilterSpec:
     omega_l: float
     w_m: int
     w_l: int
-
-    def __post_init__(self):
-        if self.w_m < 1 or self.w_l < 1:
-            raise ValueError("envelope lengths must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -121,17 +119,6 @@ class GaborFilterbank:
     @property
     def feature_dim(self) -> int:
         return sum(len(f.representative_channels) for f in self.filters)
-
-
-@dataclass
-class FeatureMatrix:
-    """T x feature_dim matrix of Gabor filter responses."""
-
-    values: np.ndarray
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[0]
 
 
 def hann_product_envelope(w_m: int, w_l: int) -> np.ndarray:
@@ -185,8 +172,10 @@ def representative_channel_stride(f_s: float) -> int:
     return int(round(1.0 / (4.0 * abs(f_s))))
 
 
-def build_diagonal_filterbank(n_mels: int = 26, frame_rate: float = 100.0) -> GaborFilterbank:
-    """Construct the 48-filter diagonal bank (600 features at 26 channels).
+def build_diagonal_filterbank(
+    n_mels: int = FrameParams().n_mels, frame_rate: float = FrameParams().frame_rate()
+) -> GaborFilterbank:
+    """Construct the 48-filter diagonal bank (600 features at ``FrameParams()``'s 26 channels).
 
     Ordering: temporal frequency ascending, spectral frequency ascending
     (-0.25 .. -0.03125, then +0.03125 .. +0.25) within each temporal block.
@@ -250,7 +239,7 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def extract_features(spec: LogMelSpectrogram, bank: GaborFilterbank) -> FeatureMatrix:
+def extract_features(spec: FrameMatrix, bank: GaborFilterbank) -> FrameMatrix:
     """Filter a log-mel spectrogram with every filter in the bank and sample
     each response at that filter's representative channels.
 
@@ -274,7 +263,7 @@ def extract_features(spec: LogMelSpectrogram, bank: GaborFilterbank) -> FeatureM
         out[:, group.columns] = filtered @ group.mel_weights
 
     parallel.split(apply, bank.groups, n_frames)
-    return FeatureMatrix(out)
+    return FrameMatrix(out)
 
 
 def export_filterbank(bank: GaborFilterbank, out_dir) -> None:

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -762,6 +763,22 @@ def test_synth_zero_utterance_without_noise_exits_2_naming_its_item(data_dirs, t
     argv = ["synth", "--speech-dir", str(speech_dir), "--rir-dir", str(rir_dir), "--noise", "none", "--out", str(out)]
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: utterance 2, RIR 0: signal must have nonzero power\n"
+    assert not (out / "manifest.csv").exists()
+
+
+@pytest.mark.parametrize("noise", [["none"], ["ambient", "--snr", "10"]], ids=["none", "ambient"])
+def test_synth_empty_utterance_exits_2_naming_its_item(noise, data_dirs, tmp_path, capsys):
+    """A WAV with no samples is refused by name under every condition,
+    before numpy takes a mean of no samples."""
+    speech_dir, rir_dir = data_dirs
+    write_wav_pcm16(speech_dir / "utt_1.wav", AudioBuffer(np.zeros(0)))
+    out = tmp_path / "corpus"
+    argv = ["synth", "--speech-dir", str(speech_dir), "--rir-dir", str(rir_dir), "--noise", *noise, "--out", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert [w.message for w in caught] == []
+    assert capsys.readouterr().err == "error: utterance 1, RIR 1: signal has no samples\n"
     assert not (out / "manifest.csv").exists()
 
 

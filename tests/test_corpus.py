@@ -101,6 +101,12 @@ class TestGenNoise:
         with pytest.raises(ValueError):
             gen_noise("ambient", 0.0, seed=0)
 
+    def test_duration_under_one_sample_raises(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="duration must be at least one sample"):
+                gen_noise("ambient", 1e-5, seed=0)
+
 
 class TestMixAtSnr:
     def test_zero_snr_equalizes_power(self, rng):
@@ -138,6 +144,12 @@ class TestMixAtSnr:
         with pytest.raises(ValueError):
             mix_at_snr(AudioBuffer(rng.standard_normal(100)), AudioBuffer(np.zeros(100)), 0.0)
 
+    def test_empty_signal_raises(self, rng):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="signal has no samples"):
+                mix_at_snr(AudioBuffer(np.zeros(0)), AudioBuffer(rng.standard_normal(100)), 10.0)
+
     def test_short_noise_raises(self, rng):
         with pytest.raises(ValueError, match="shorter"):
             mix_at_snr(AudioBuffer(rng.standard_normal(100)), AudioBuffer(np.ones(50)), 0.0)
@@ -149,6 +161,10 @@ class TestSpeechLike:
         b = make_speech_like(1.0, seed=1)
         np.testing.assert_array_equal(a.samples, b.samples)
         assert np.abs(a.samples).max() == pytest.approx(0.5, abs=1e-9)
+
+    def test_duration_under_one_sample_raises(self):
+        with pytest.raises(ValueError, match="duration must be at least one sample"):
+            make_speech_like(1e-5, seed=0)
 
     def test_contains_pauses(self):
         x = make_speech_like(2.0, seed=2).samples
@@ -188,7 +204,7 @@ class TestBuildCorpus:
     def test_class_ids_consistent_with_grid(self):
         manifest = build_corpus(self.speech(6), self.rirs(3), ["babble"], [10], GRID, seed=3)
         for item in manifest.items:
-            cell = cell_of(manifest.grid, item.t60, item.drr)
+            cell = cell_of(GRID, item.t60, item.drr)
             assert manifest.vocabulary.class_id_of(cell) == item.class_id
 
     def test_round_robin_balance(self):

@@ -3,6 +3,7 @@ import pytest
 
 from revparams.audio_io import SAMPLE_RATE, AudioBuffer
 from revparams.frontend import (
+    FrameMatrix,
     FrameParams,
     frame_signal,
     hann_periodic,
@@ -12,6 +13,7 @@ from revparams.frontend import (
     mel_to_hz,
     power_spectrum,
 )
+from revparams.gabor import build_diagonal_filterbank, extract_features
 
 PARAMS = FrameParams()
 
@@ -166,6 +168,19 @@ class TestLogMel:
         a = log_mel_spectrogram(AudioBuffer(x), PARAMS).values
         b = log_mel_spectrogram(AudioBuffer(3.0 * x), PARAMS).values
         assert np.all(b >= a)
+
+
+def test_both_stages_return_one_frame_matrix(rng):
+    """The log-mel and Gabor stages return the one per-frame type, whose
+    ``n_frames`` counts its rows; the default bank is built for this front end."""
+    bank = build_diagonal_filterbank()
+    assert (bank.n_mels, bank.frame_rate) == (PARAMS.n_mels, PARAMS.frame_rate()) == (26, 100.0)
+    spec = log_mel_spectrogram(AudioBuffer(0.1 * rng.standard_normal(8000)), PARAMS)
+    feats = extract_features(spec, bank)
+    for matrix, width in ((spec, 26), (feats, 600)):
+        assert type(matrix) is FrameMatrix
+        assert matrix.values.shape == (48, width)
+        assert matrix.n_frames == len(matrix.values) == 48
 
 
 class TestFrameParamsValidation:

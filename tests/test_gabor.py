@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.signal import correlate
 
-from revparams.frontend import LogMelSpectrogram
+from revparams.frontend import FrameMatrix
 from revparams.gabor import (
     GaborFilterSpec,
     build_diagonal_filterbank,
@@ -18,7 +18,7 @@ BANK = build_diagonal_filterbank()
 
 
 def spectro(values):
-    return LogMelSpectrogram(np.asarray(values, dtype=np.float64))
+    return FrameMatrix(np.asarray(values, dtype=np.float64))
 
 
 def brute_force_features(values, bank):

@@ -23,7 +23,7 @@ from revparams.cli import main
 from revparams.corpus import CorpusItem, make_speech_like
 from revparams.estimator import filterbank
 from revparams.evaluate import evaluate
-from revparams.frontend import FrameParams, LogMelSpectrogram, log_mel_spectrogram
+from revparams.frontend import FrameMatrix, FrameParams, log_mel_spectrogram
 from revparams.gabor import GaborFilterbank, extract_features
 from revparams.grid import ClassVocabulary
 from revparams.mlp import forward, save_model
@@ -111,7 +111,7 @@ class TestSplitMatchesSerial:
 
     @pytest.mark.parametrize("n_frames", N_FRAMES)
     def test_extract_features(self, n_frames, monkeypatch, threads_that_ran, rng):
-        spec = LogMelSpectrogram(rng.standard_normal((n_frames, 26)))
+        spec = FrameMatrix(rng.standard_normal((n_frames, 26)))
         bank = filterbank()
         force_gate(monkeypatch, False)
         serial = extract_features(spec, bank).values
@@ -123,7 +123,7 @@ class TestSplitMatchesSerial:
     def test_extract_features_odd_group_count(self, monkeypatch, threads_that_ran, rng):
         bank = GaborFilterbank(filterbank().filters[:40], 26, 100.0)  # 5 temporal carriers: 5 groups
         assert len(bank.groups) == 5
-        spec = LogMelSpectrogram(rng.standard_normal((2_049, 26)))
+        spec = FrameMatrix(rng.standard_normal((2_049, 26)))
         force_gate(monkeypatch, False)
         serial = extract_features(spec, bank).values
         force_gate(monkeypatch, True)
