@@ -320,12 +320,13 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train", help="train the MLP from a corpus manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--hidden", type=int, default=256)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--batch-size", type=int, default=256)
-    p.add_argument("--val-fraction", type=float, default=0.1)
+    defaults = TrainConfig()
+    p.add_argument("--hidden", type=int, default=defaults.hidden_units)
+    p.add_argument("--epochs", type=int, default=defaults.epochs)
+    p.add_argument("--lr", type=float, default=defaults.learning_rate)
+    p.add_argument("--momentum", type=float, default=defaults.momentum)
+    p.add_argument("--batch-size", type=int, default=defaults.batch_size)
+    p.add_argument("--val-fraction", type=float, default=defaults.validation_fraction)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("estimate", help="blind (T60, DRR) estimation for WAV files")

@@ -303,8 +303,9 @@ def write_manifest_csv(manifest: CorpusManifest, path) -> None:
             )
 
 
-def _number(row: dict, column: str, kind=float):
-    """``kind(row[column])``, checked to parse and to be finite."""
+def _number(row: dict, column: str, kind=float, positive=False):
+    """``kind(row[column])``, checked to parse, to be finite and, if
+    ``positive``, to be above zero."""
     text = row[column]
     try:
         value = kind(text)
@@ -313,6 +314,8 @@ def _number(row: dict, column: str, kind=float):
         raise ValueError(f"column {column!r} holds {text!r}, not {expected}") from None
     if not math.isfinite(value):
         raise ValueError(f"column {column!r} holds {text!r}, not a finite number")
+    if positive and value <= 0:
+        raise ValueError(f"column {column!r} holds {text!r}, not a positive number")
     return value
 
 
@@ -330,7 +333,7 @@ def _manifest_item(row: dict, base: str) -> CorpusItem:
         rir_id=_number(row, "rir_id", int),
         noise_kind=row["noise_kind"],
         snr_db=_number(row, "snr_db") if row["snr_db"] else None,
-        t60=_number(row, "t60_s"),
+        t60=_number(row, "t60_s", positive=True),
         drr=_number(row, "drr_db"),
         class_id=_number(row, "class_id", int),
     )
@@ -341,8 +344,8 @@ def read_manifest_items(path) -> list:
     resolved against the manifest's directory.
 
     A missing column, a row with missing or extra fields, a non-numeric
-    field, or a non-finite SNR, T60 or DRR raises ValueError naming the
-    file and line.
+    field, a non-finite SNR, T60 or DRR, or a T60 of zero or less raises
+    ValueError naming the file and line.
     """
     base = os.path.dirname(os.path.abspath(path))
     with open(path, newline="") as fh:

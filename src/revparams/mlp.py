@@ -5,6 +5,9 @@ momentum and best-validation checkpointing, exact gradients (exposed for
 finite-difference checking), and a bit-exact binary model container that
 embeds everything estimation needs: weights, normalizer and class
 vocabulary, with the fixed grid and front end named and checked on load.
+Its length must be what the manifest's dims give, checked in Python ints
+before numpy reads a weight, and ``load_model`` names the file in every
+error it raises.
 
 Training math runs in float64; finished weights are snapped to float32
 precision so the container round-trips forward outputs bit-exactly.
@@ -36,6 +39,7 @@ import dataclasses
 import json
 import math
 import struct
+import sys
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -49,6 +53,9 @@ from .parallel import BLOCK_ROWS, row_blocks
 MAGIC = b"RVPM1\x00"
 
 _STD_FLOOR = 1e-6
+
+# MlpModel's weight fields, in the order the container stores them
+_WEIGHTS = ("w1", "b1", "w2", "b2")
 
 
 @dataclass
@@ -378,8 +385,7 @@ def train(
         seed=config.seed,
     )
 
-    keys = ("w1", "b1", "w2", "b2")
-    velocity = {k: np.zeros_like(getattr(model, k)) for k in keys}
+    velocity = {k: np.zeros_like(getattr(model, k)) for k in _WEIGHTS}
 
     # Each window of the permutation is gathered once; its batches are slices.
     window = config.batch_size * max(1, _METRICS_CHUNK // config.batch_size)
@@ -402,7 +408,7 @@ def train(
     history = []
     sgd_epoch()
     for epoch in range(config.epochs):
-        scored = dataclasses.replace(model, **{k: getattr(model, k).copy() for k in keys})
+        scored = dataclasses.replace(model, **{k: getattr(model, k).copy() for k in _WEIGHTS})
         row = {"epoch": epoch}
 
         def metrics_pass():
@@ -419,7 +425,7 @@ def train(
     # NaN never compares below the initial inf: the weights would be the untrained ones.
     if best_score == np.inf:
         raise ValueError("no epoch gave a finite cross-entropy: non-finite features, or training diverged")
-    for key in keys:
+    for key in _WEIGHTS:
         snapped = _snap_f32(getattr(best, key))
         # a finite cross-entropy does not bound the weights; load_model refuses infinite ones
         if not np.isfinite(snapped).all():
@@ -431,7 +437,8 @@ def train(
 # --- model container -------------------------------------------------------
 #
 # Layout: magic "RVPM1\0", uint32 little-endian manifest length, UTF-8 JSON
-# manifest, then raw little-endian float32 blobs W1 (row-major), b1, W2, b2.
+# manifest, then the _WEIGHTS as raw little-endian float32 blobs, each
+# row-major, and nothing after them.
 
 
 # The estimator has one grid and one front end. A manifest names them in
@@ -490,14 +497,13 @@ def model_to_bytes(model: MlpModel) -> bytes:
     }
     mjson = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
     parts = [MAGIC, struct.pack("<I", len(mjson)), mjson]
-    for arr in (model.w1, model.b1, model.w2, model.b2):
-        parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    parts += [np.ascontiguousarray(getattr(model, name), dtype="<f4").tobytes() for name in _WEIGHTS]
     return b"".join(parts)
 
 
 def _number(value, key: str, integer: bool):
-    """``value``, checked to be an int if ``integer``, else a finite real."""
-    ok = isinstance(value, int) or (not integer and isinstance(value, float) and math.isfinite(value))
+    """``value``, checked to be an int if ``integer``, else a finite number: an int or float within float range."""
+    ok = isinstance(value, int) if integer else isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     if isinstance(value, bool) or not ok:
         kind = "an integer" if integer else "a finite number"
         raise ValueError(f"model manifest key {key!r} must be {kind}, got {value!r}")
@@ -529,16 +535,16 @@ def model_from_bytes(blob: bytes) -> MlpModel:
     d, h, c = (_number(dims[k], f"dims.{k}", integer=True) for k in ("d", "h", "c"))
     if min(d, h, c) < 1:
         raise ValueError(f"model manifest dims must be positive integers, got {dims}")
-    shapes = [(h, d), (h,), (c, h), (c,)]
-    arrays = []
-    for shape in shapes:
-        count = int(np.prod(shape))
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-        offset += 4 * count
-        arrays.append(arr.astype(np.float64).reshape(shape))
-    if offset != len(blob):
-        raise ValueError(f"model container has {len(blob) - offset} trailing bytes")
-    for name, arr in zip(("w1", "b1", "w2", "b2"), arrays):
+    shapes = ((h, d), (h,), (c, h), (c,))  # of the _WEIGHTS
+    sizes = [math.prod(shape) for shape in shapes]
+    size = offset + 4 * sum(sizes)  # Python ints: dims of any size give a length, not an overflow
+    if len(blob) > size:
+        raise ValueError(f"model container has {len(blob) - size} trailing bytes")
+    if len(blob) < size:
+        raise ValueError(f"model container truncated: {len(blob)} bytes, its dims need {size}")
+    weights = np.split(np.frombuffer(blob, dtype="<f4", offset=offset).astype(np.float64), np.cumsum(sizes[:-1]))
+    arrays = {name: arr.reshape(shape) for name, arr, shape in zip(_WEIGHTS, weights, shapes)}
+    for name, arr in arrays.items():
         if not np.isfinite(arr).all():
             raise ValueError(f"model array {name!r} has non-finite entries")
 
@@ -548,10 +554,7 @@ def model_from_bytes(blob: bytes) -> MlpModel:
             raise ValueError(f"model manifest key 'normalizer.{name}' must be a list of numbers")
         for value in normalizer[name]:
             _number(value, f"normalizer.{name}", integer=False)
-    norm = FeatureNormalizer(
-        np.asarray(normalizer["mean"], dtype=np.float64),
-        np.asarray(normalizer["inv_std"], dtype=np.float64),
-    )
+    norm = FeatureNormalizer(*(np.asarray(normalizer[name], dtype=np.float64) for name in ("mean", "inv_std")))
     if norm.mean.shape != (d,) or norm.inv_std.shape != (d,):
         raise ValueError(f"normalizer shapes {norm.mean.shape}/{norm.inv_std.shape}, expected ({d},)")
     cells = manifest["vocabulary"]
@@ -560,11 +563,10 @@ def model_from_bytes(blob: bytes) -> MlpModel:
     vocab = ClassVocabulary(tuple(tuple(_number(i, "vocabulary", integer=True) for i in cell) for cell in cells))
     if len(vocab) != c:
         raise ValueError("vocabulary size disagrees with output dimension")
-    grid = ClassGrid()
     for cell in vocab.cells:
-        center_of(grid, cell)  # raises for a cell outside the grid
+        center_of(MlpModel.grid, cell)  # raises for a cell outside the grid
     seed = _number(manifest["seed"], "seed", integer=True)
-    return MlpModel(*arrays, norm, vocab, seed=seed)
+    return MlpModel(**arrays, normalizer=norm, vocabulary=vocab, seed=seed)
 
 
 def save_model(model: MlpModel, path) -> None:
@@ -573,5 +575,10 @@ def save_model(model: MlpModel, path) -> None:
 
 
 def load_model(path) -> MlpModel:
-    with open(path, "rb") as fh:
-        return model_from_bytes(fh.read())
+    """The model in the container file ``path``; a malformed one raises
+    ValueError naming the file."""
+    try:
+        with open(path, "rb") as fh:
+            return model_from_bytes(fh.read())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -239,6 +239,23 @@ def _set(section, key, value):
     return lambda blob: _edit_manifest(blob, lambda m: m[section].__setitem__(key, value))
 
 
+# Dims whose weights would not fit in memory, an integer beyond float range
+# and weights cut short: the container's length and numbers are checked in
+# Python ints before numpy reads them.
+BEYOND_RANGE = [
+    (lambda blob: blob[:-9], "truncated"),
+    (_set("dims", "h", 2**63), "truncated"),
+    (_set("dims", "d", 10**30), "truncated"),
+    (lambda blob: _edit_manifest(blob, lambda m: m["normalizer"]["mean"].__setitem__(0, 10**400)), "'normalizer.mean'"),
+]
+BEYOND_RANGE_IDS = ["weights-cut-9-bytes", "dims-h-2**63", "dims-d-10**30", "normalizer-int-10**400"]
+
+
+def _manifest_byte(index: int, byte: bytes):
+    start = len(MAGIC) + 4 + index
+    return lambda blob: blob[:start] + byte + blob[start + 1 :]
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -269,6 +286,9 @@ def _set(section, key, value):
         (lambda blob: _edit_manifest(blob, lambda m: m.__setitem__("bogus", 1)), "unknown key 'bogus'"),
         (_set("dims", "d", True), "'dims.d'"),
         (lambda blob: MAGIC + struct.pack("<I", 100_000) + b"[" * 100_000, "model manifest is nested too deeply"),
+        (_manifest_byte(3, b"\xff"), "can't decode byte 0xff in position 3"),
+        (_manifest_byte(0, b"x"), "Expecting value"),
+        *BEYOND_RANGE,
     ],
     ids=[
         "header",
@@ -295,6 +315,9 @@ def _set(section, key, value):
         "unknown-top-level-key",
         "dims-bool",
         "deep-nesting",
+        "manifest-not-utf-8",
+        "manifest-json-syntax",
+        *BEYOND_RANGE_IDS,
     ],
 )
 def test_estimate_malformed_model_exits_2(corrupt, message, delta_wav, tmp_path, capsys):
@@ -303,7 +326,29 @@ def test_estimate_malformed_model_exits_2(corrupt, message, delta_wav, tmp_path,
     assert main(["estimate", str(delta_wav), "--model", str(path)]) == 2
     err = capsys.readouterr().err
     assert message in err
+    assert err.startswith(f"error: {path}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("corrupt, message", BEYOND_RANGE, ids=BEYOND_RANGE_IDS)
+@pytest.mark.parametrize("command", ["estimate", "evaluate", "bench"])
+def test_model_beyond_range_exits_2_naming_it(command, corrupt, message, tmp_path, monkeypatch, capsys):
+    write_wav_pcm16(tmp_path / "a.wav", make_speech_like(0.5, seed=3))
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(MANIFEST_HEADER + "a.wav,0,ambient,10,0.5,3,0\n")
+    model = tmp_path / "broken.rvpm"
+    model.write_bytes(corrupt(model_to_bytes(make_model(d=600))))
+    monkeypatch.setattr(cli, "read_wav", lambda *a, **k: pytest.fail("read a WAV"))
+    monkeypatch.setattr(revparams.corpus, "read_wav", lambda *a, **k: pytest.fail("read a WAV"))
+    argv = {
+        "estimate": ["estimate", str(tmp_path / "a.wav")],
+        "evaluate": ["evaluate", "--manifest", str(manifest), "--out", str(tmp_path / "r.csv")],
+        "bench": ["bench", "--audio-dir", str(tmp_path)],
+    }[command]
+    assert main([*argv, "--model", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model}: ")
+    assert message in err
 
 
 @pytest.mark.parametrize("command", ["synth", "estimate", "evaluate"])

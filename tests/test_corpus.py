@@ -255,8 +255,22 @@ GOOD_ROW = "item_00000.wav,0,ambient,10,0.500000,3.000000,1\n"
         ("item_00000.wav,0,ambient,10,nan,3.0,1\n", "'t60_s' holds 'nan', not a finite number"),
         ("item_00000.wav,0,ambient,10,0.5,-inf,1\n", "'drr_db' holds '-inf', not a finite number"),
         ("item_00000.wav,0,ambient,inf,0.5,3.0,1\n", "'snr_db' holds 'inf', not a finite number"),
+        ("item_00000.wav,0,ambient,10,0,3.0,1\n", "'t60_s' holds '0', not a positive number"),
+        ("item_00000.wav,0,ambient,10,-0.5,3.0,1\n", "'t60_s' holds '-0.5', not a positive number"),
     ],
-    ids=["truncated", "extra-field", "rir-id", "snr", "empty-t60", "class-id", "nan-t60", "inf-drr", "inf-snr"],
+    ids=[
+        "truncated",
+        "extra-field",
+        "rir-id",
+        "snr",
+        "empty-t60",
+        "class-id",
+        "nan-t60",
+        "inf-drr",
+        "inf-snr",
+        "zero-t60",
+        "negative-t60",
+    ],
 )
 def test_malformed_manifest_row_names_file_and_line(row, message, tmp_path):
     path = tmp_path / "manifest.csv"

@@ -697,3 +697,31 @@ class TestSerialization:
         blob = model_to_bytes(make_model())
         with pytest.raises(ValueError, match="trailing"):
             model_from_bytes(blob + b"\x00")
+
+    def test_any_manifest_value_out_of_type_or_range_raises_value_error(self):
+        """Every manifest value, in turn, replaced by each of a set of wrong
+        types and out-of-range numbers, with weights of the right length,
+        4 bytes short or 4 bytes long: only ValueError comes out."""
+        blob = model_to_bytes(make_model())
+        start = len(MAGIC) + 4
+        (mlen,) = struct.unpack_from("<I", blob, len(MAGIC))
+        manifest, weights = json.loads(blob[start : start + mlen]), blob[start + mlen :]
+
+        def places(obj, path=()):
+            items = obj.items() if isinstance(obj, dict) else enumerate(obj[:2]) if isinstance(obj, list) else ()
+            for key, value in items:
+                yield path + (key,)
+                yield from places(value, path + (key,))
+
+        values = [None, True, -1, 0, 2**63, 10**30, 10**400, -1e308, 1.5, "x", [], {}, [[]], [10**400, 0]]
+        for path in places(manifest):
+            for value in values:
+                edited = json.loads(json.dumps(manifest))
+                parent = functools.reduce(lambda obj, key: obj[key], path[:-1], edited)
+                parent[path[-1]] = value
+                mjson = json.dumps(edited).encode("utf-8")
+                for tail in (weights, weights[:-4], weights + bytes(4)):
+                    try:
+                        model_from_bytes(MAGIC + struct.pack("<I", len(mjson)) + mjson + tail)
+                    except ValueError:
+                        pass
