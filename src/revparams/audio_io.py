@@ -3,11 +3,14 @@
 All pipeline entry points operate on mono 16 kHz audio. Files at other
 sample rates are rejected outright; there is no resampling. ``read_wav``
 parses RIFF itself, with numpy alone; only ``write_wav_pcm16``, which
-corpus synthesis calls, imports scipy.
+corpus synthesis calls, imports scipy. ``naming`` states the package's one
+rule for refusals: a ValueError about one input starts with that input's
+name, once, as ``read_wav``'s own messages start with its path.
 """
 
 from __future__ import annotations
 
+import contextlib
 import struct
 from dataclasses import dataclass
 
@@ -18,6 +21,18 @@ SAMPLE_RATE = 16000
 PCM16_SCALE = 32768.0
 
 _SAMPLE_TYPES = {(1, 16): "<i2", (3, 32): "<f4", (3, 64): "<f8"}  # (format tag, bits) -> dtype
+
+
+@contextlib.contextmanager
+def naming(name):
+    """Prefix a ValueError raised inside with ``name``, the input it is
+    about, unless its message starts with it already (read_wav's do)."""
+    try:
+        yield
+    except ValueError as exc:
+        if str(exc).startswith(f"{name}: "):
+            raise
+        raise ValueError(f"{name}: {exc}") from exc
 
 
 @dataclass

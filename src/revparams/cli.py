@@ -3,13 +3,14 @@
 Subcommands: filters, features, ground-truth, synth, train, estimate,
 evaluate, bench. Exit codes: 0 success, 1 usage error, 2 data error.
 Diagnostics go to stderr; results go to stdout or the paths given by
---out style flags.
+--out style flags. A refusal about one input names it through
+``audio_io.naming``.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
+import csv
 import glob
 import json
 import math
@@ -20,7 +21,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .acoustics import Rir, compute_drr, estimate_t60_from_edc, schroeder_edc
-from .audio_io import read_wav
+from .audio_io import naming, read_wav
 from .corpus import NOISE_KINDS, build_corpus, read_manifest_items
 from .estimator import check_filterbank, estimate_from_posteriors, filterbank, frame_posteriors, gabor_features
 from .evaluate import evaluate, measure_rtf
@@ -42,16 +43,13 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-@contextlib.contextmanager
-def _naming(name: str):
-    """Prefix a ValueError raised inside with ``name``, the input it is
-    about, unless its message starts with it already (read_wav's do)."""
-    try:
-        yield
-    except ValueError as exc:
-        if str(exc).startswith(f"{name}: "):
-            raise
-        raise ValueError(f"{name}: {exc}") from exc
+def _load_model(path: str):
+    """The model at ``path``, checked once, before any input is read, to
+    take the features of ``filterbank()``; either refusal names the file."""
+    with naming(path):
+        model = load_model(path)
+        check_filterbank(model)
+    return model
 
 
 def _wav_files(directory: str) -> list:
@@ -104,7 +102,7 @@ def cmd_filters(args) -> int:
 
 
 def cmd_features(args) -> int:
-    with _naming(args.input):
+    with naming(args.input):
         feats = gabor_features(read_wav(args.input, channel=args.channel))[0]
     if args.out:
         np.savetxt(args.out, feats, delimiter=",")
@@ -115,7 +113,7 @@ def cmd_features(args) -> int:
 
 
 def cmd_ground_truth(args) -> int:
-    with _naming(args.rir):
+    with naming(args.rir):
         rir = Rir(read_wav(args.rir, channel=args.channel))
     drr = compute_drr(rir)
     try:
@@ -132,7 +130,7 @@ def _read_each(directory: str, wrap=lambda audio: audio) -> list:
     order; a ValueError names its file."""
     out = []
     for path in _wav_files(directory):
-        with _naming(path):
+        with naming(path):
             out.append(wrap(read_wav(path)))
     return out
 
@@ -166,9 +164,10 @@ def cmd_train(args) -> int:
     )
     items = read_manifest_items(args.manifest)
     grid = ClassGrid()
-    vocabulary = build_vocabulary(grid, [(it.t60, it.drr) for it in items])
+    with naming(args.manifest):
+        vocabulary = build_vocabulary(grid, [(it.t60, it.drr) for it in items])
     for i, it in enumerate(items):
-        with _naming(f"manifest item {i}"):
+        with naming(f"manifest item {i}"):
             expected = vocabulary.class_id_of(cell_of(grid, it.t60, it.drr))
             if it.class_id != expected:
                 raise ValueError(f"class id {it.class_id} disagrees with grid cell (expected {expected})")
@@ -177,7 +176,7 @@ def cmd_train(args) -> int:
     # list is the one copy of the training set
     dataset = []
     for i, it in enumerate(items):
-        with _naming(f"manifest item {i}"):
+        with naming(f"manifest item {i}"):
             dataset.append((gabor_features(it.audio())[0].astype(np.float32), it.class_id))
     _log(f"training {filterbank().feature_dim} -> {config.hidden_units} -> {len(vocabulary)}")
     model, history = train(dataset, config, grid, vocabulary)
@@ -198,22 +197,21 @@ def _posterior_csvs(directory: str, inputs: list) -> dict:
     owner = {}
     for path in inputs:
         stem = os.path.splitext(os.path.basename(path))[0]
-        csv = os.path.join(directory, f"{stem}.posteriors.csv")
-        if csv in owner:
-            raise ValueError(f"--per-frame: inputs {owner[csv]} and {path} would both write {csv}")
-        owner[csv] = path
-    return {path: csv for csv, path in owner.items()}
+        out = os.path.join(directory, f"{stem}.posteriors.csv")
+        if out in owner:
+            raise ValueError(f"--per-frame: inputs {owner[out]} and {path} would both write {out}")
+        owner[out] = path
+    return {path: out for out, path in owner.items()}
 
 
 def cmd_estimate(args) -> int:
     csvs = _posterior_csvs(args.per_frame, args.inputs) if args.per_frame else None
-    model = load_model(args.model)
-    check_filterbank(model)  # once, before any input: the error is the model's
+    model = _load_model(args.model)
     if args.per_frame:
         os.makedirs(args.per_frame, exist_ok=True)
 
     def run_one(path):
-        with _naming(path):
+        with naming(path):
             post, times = frame_posteriors(read_wav(path, channel=args.channel), model)
             if args.per_frame:
                 np.savetxt(csvs[path], post, delimiter=",")
@@ -232,17 +230,18 @@ def cmd_estimate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     items = read_manifest_items(args.manifest)
-    result = evaluate(items, load_model(args.model), jobs=args.jobs)
+    result = evaluate(items, _load_model(args.model), jobs=args.jobs)
     for item_id, reason in result.excluded:
         _log(f"excluded item {item_id}: {reason}")
 
-    with open(args.out, "w") as fh:
-        fh.write("item,t60,drr,t60_hat,drr_hat,e_t60,e_drr,noise,snr,audio_s,proc_s\n")
+    with open(args.out, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")  # quotes a noise label holding a comma, quote or newline
+        writer.writerow("item,t60,drr,t60_hat,drr_hat,e_t60,e_drr,noise,snr,audio_s,proc_s".split(","))
         for r in result.records:
             snr = "" if r.snr_db is None else f"{r.snr_db:g}"
-            fh.write(
-                f"{r.item_id},{r.t60:.6f},{r.drr:.6f},{r.t60_hat:.6f},{r.drr_hat:.6f},"
-                f"{r.e_t60:.6f},{r.e_drr:.6f},{r.noise_kind},{snr},{r.audio_s:.6f},{r.times.total_s:.6f}\n"
+            writer.writerow(
+                [r.item_id, *(f"{v:.6f}" for v in (r.t60, r.drr, r.t60_hat, r.drr_hat, r.e_t60, r.e_drr))]
+                + [r.noise_kind, snr, f"{r.audio_s:.6f}", f"{r.times.total_s:.6f}"]
             )
     _log(f"wrote {len(result.records)} rows to {args.out} ({len(result.excluded)} excluded)")
 
@@ -272,11 +271,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    model = load_model(args.model)
-    check_filterbank(model)
+    model = _load_model(args.model)
     runs = []
     for path in _wav_files(args.audio_dir):
-        with _naming(path):
+        with naming(path):
             audio = read_wav(path)
             post, times = frame_posteriors(audio, model)
             estimate_from_posteriors(post, model)
@@ -287,7 +285,7 @@ def cmd_bench(args) -> int:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="revparams", description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=42, help="seed for all stochastic steps")
+    parser.add_argument("--seed", type=int, default=TrainConfig().seed, help="seed for all stochastic steps")
     parser.add_argument(
         "-v", "--verbose", action="count", default=0, help="estimate: each input's frames and stage times on stderr"
     )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acoustics import Rir, compute_drr, estimate_t60_from_edc, schroeder_edc
-from .audio_io import SAMPLE_RATE, AudioBuffer, read_wav, write_wav_pcm16
+from .audio_io import SAMPLE_RATE, AudioBuffer, naming, read_wav, write_wav_pcm16
 from .grid import ClassGrid, ClassVocabulary, build_vocabulary, cell_of
 from .parallel import map_items
 
@@ -240,10 +240,8 @@ def build_corpus(
 
     truths = []
     for rir_id, rir in enumerate(rirs):
-        try:
+        with naming(f"RIR {rir_id}"):
             truths.append((estimate_t60_from_edc(schroeder_edc(rir)), compute_drr(rir)))
-        except ValueError as exc:
-            raise ValueError(f"RIR {rir_id}: {exc}") from exc
     vocabulary = build_vocabulary(grid, truths)
 
     children = np.random.SeedSequence(seed).spawn(len(speech) * len(conditions))
@@ -255,10 +253,8 @@ def build_corpus(
 
     def render(task):
         i, rir_id, kind, snr, child = task
-        try:
+        with naming(f"utterance {i}, RIR {rir_id}"):
             return _render_item(speech[i], rirs[rir_id], kind, snr, child)
-        except ValueError as exc:
-            raise ValueError(f"utterance {i}, RIR {rir_id}: {exc}") from exc
 
     rendered = map_items(render, tasks, jobs)
 

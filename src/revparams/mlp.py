@@ -46,6 +46,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import parallel
+from .audio_io import naming
 from .frontend import FrameParams
 from .grid import ClassGrid, ClassVocabulary, center_of
 from .parallel import BLOCK_ROWS, row_blocks
@@ -566,6 +567,8 @@ def model_from_bytes(blob: bytes) -> MlpModel:
     for cell in vocab.cells:
         center_of(MlpModel.grid, cell)  # raises for a cell outside the grid
     seed = _number(manifest["seed"], "seed", integer=True)
+    if seed < 0:
+        raise ValueError(f"model manifest key 'seed' must be >= 0, got {seed}")
     return MlpModel(**arrays, normalizer=norm, vocabulary=vocab, seed=seed)
 
 
@@ -577,8 +580,5 @@ def save_model(model: MlpModel, path) -> None:
 def load_model(path) -> MlpModel:
     """The model in the container file ``path``; a malformed one raises
     ValueError naming the file."""
-    try:
-        with open(path, "rb") as fh:
-            return model_from_bytes(fh.read())
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    with naming(path), open(path, "rb") as fh:
+        return model_from_bytes(fh.read())

@@ -1,4 +1,5 @@
-"""``read_wav`` against scipy's parser as the oracle, and the files it refuses.
+"""``read_wav`` against scipy's parser as the oracle, the files it refuses,
+and ``naming``, the rule that puts an input's name before a refusal once.
 
 The oracle is ``scipy.io.wavfile.read`` followed by ``read_wav``'s conversion:
 the requested channel, as float64, divided by 32768 for PCM16. Every accepted
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from revparams.audio_io import PCM16_SCALE, read_wav
+from revparams.audio_io import PCM16_SCALE, naming, read_wav
 from revparams.cli import main
 
 RATE = 16000
@@ -139,3 +140,29 @@ def test_refused_wav_exits_2_naming_the_file(write, message, tmp_path, capsys):
     assert err.startswith(f"error: {path}: ")
     assert message in err
     assert err.count("\n") == 1
+
+
+
+def test_naming_prefixes_the_name_once_and_chains_the_original():
+    with pytest.raises(ValueError, match="^a.wav: bad$") as caught:
+        with naming("a.wav"):
+            raise ValueError("bad")
+    assert str(caught.value.__cause__) == "bad"
+
+
+def test_naming_leaves_a_message_that_starts_with_the_name():
+    with pytest.raises(ValueError, match="^a.wav: bad$"):
+        with naming("a.wav"), naming("a.wav"):
+            raise ValueError("bad")
+
+
+def test_nested_naming_puts_the_outer_name_first():
+    with pytest.raises(ValueError, match="^m.csv: manifest item 2: bad$"):
+        with naming("m.csv"), naming("manifest item 2"):
+            raise ValueError("bad")
+
+
+def test_naming_passes_other_errors_through():
+    with pytest.raises(OSError, match="^gone$"):
+        with naming("a.wav"):
+            raise OSError("gone")

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import struct
@@ -195,6 +196,21 @@ def test_evaluate_with_nothing_estimable_writes_strict_json(rows, model_600, tmp
     assert captured.err.count("silent input") == len(rows)
 
 
+@pytest.mark.parametrize("label", ["amb,ient", '"amb"ient', "amb\nient"], ids=["comma", "quote", "newline"])
+def test_evaluate_results_csv_keeps_one_field_per_column(label, model_600, tmp_path):
+    write_wav_pcm16(tmp_path / "a.wav", make_speech_like(0.5, seed=3))
+    manifest = tmp_path / "manifest.csv"
+    with open(manifest, "w", newline="") as fh:
+        fh.write(MANIFEST_HEADER)
+        csv.writer(fh, lineterminator="\n").writerow(["a.wav", 0, label, 10, 0.5, 3, 0])
+    out = tmp_path / "r.csv"
+    assert main(["evaluate", "--manifest", str(manifest), "--model", str(model_600), "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        header, row = csv.reader(fh)
+    assert len(header) == len(row) == 11
+    assert row[header.index("noise")] == label
+
+
 def _edit_manifest(blob: bytes, edit) -> bytes:
     """A model container whose JSON manifest went through ``edit``."""
     start = len(MAGIC) + 4
@@ -271,6 +287,7 @@ def _manifest_byte(index: int, byte: bytes):
         (_set("frame_params", "hop", 160.5), "'frame_params.hop'"),
         (lambda blob: _edit_manifest(blob, lambda m: m["vocabulary"].__setitem__(0, 5)), "'vocabulary'"),
         (lambda blob: _edit_manifest(blob, lambda m: m.__setitem__("seed", "x")), "'seed'"),
+        (lambda blob: _edit_manifest(blob, lambda m: m.__setitem__("seed", -5)), "'seed' must be >= 0, got -5"),
         (lambda blob: blob[:-4] + struct.pack("<f", float("nan")), "'b2'"),
         (
             lambda blob: _edit_manifest(blob, lambda m: m["normalizer"]["inv_std"].__setitem__(4, float("nan"))),
@@ -303,6 +320,7 @@ def _manifest_byte(index: int, byte: bytes):
         "frame-params-float-hop",
         "vocabulary-entry-type",
         "seed-type",
+        "seed-negative",
         "nan-b2",
         "nan-inv-std",
         "normalizer-entry-type",
@@ -765,7 +783,7 @@ def test_model_of_another_input_dim_exits_2_before_reading_audio(command, tmp_pa
         "evaluate": ["evaluate", "--manifest", str(manifest), "--out", str(out)],
     }[command]
     assert main([*argv, "--model", str(model)]) == 2
-    assert capsys.readouterr().err == "error: filterbank feature dim 600 != model input dim 5\n"
+    assert capsys.readouterr().err == f"error: {model}: filterbank feature dim 600 != model input dim 5\n"
     assert not out.exists()
 
 
@@ -883,3 +901,12 @@ def test_only_synth_loads_scipy(data_dirs, tmp_path):
         command: [] for command in ("train", "estimate", "features", "evaluate", "bench")
     }
     assert "scipy.signal" in loaded["synth"]
+
+
+def test_train_manifest_without_rows_exits_2_naming_it(tmp_path, capsys):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(MANIFEST_HEADER)
+    model_path = tmp_path / "m.rvpm"
+    assert main(["train", "--manifest", str(manifest), "--out", str(model_path)]) == 2
+    assert capsys.readouterr().err == f"error: {manifest}: cannot build a vocabulary from no (t60, drr) pairs\n"
+    assert not model_path.exists()
