@@ -131,5 +131,5 @@ def log_mel_spectrogram(audio: AudioBuffer, params: FrameParams = FrameParams())
         np.maximum(out, params.log_floor, out=out)
         np.log(out, out=out)
 
-    parallel.split(block, row_blocks(frames, values), len(frames))
+    parallel.split(block, row_blocks(frames, values, width=params.n_mels), len(frames))
     return FrameMatrix(values)

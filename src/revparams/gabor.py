@@ -28,8 +28,10 @@ the bank is built:
   one weight per (time kernel, mel channel, output column): one matrix per
   group (78 x 100 for the default bank).
 - Time axis. The spectrogram is edge-padded once at the bank's largest
-  extent and transformed with one rfft. Each group multiplies it by its
-  time-kernel spectra, transforms back, and applies its mel matrix.
+  extent and transformed with one rfft along its frames, laid out as
+  channels x frames so every transform runs along contiguous memory. Each
+  group multiplies it by its time-kernel spectra, transforms back, and
+  applies its mel matrix.
 
 Each group reads the one rfft and writes its own output columns. The
 groups are shared with a helper thread as ``parallel.split`` decides, as
@@ -38,7 +40,11 @@ serial loop.
 
 Kernels have exactly zero coefficient sum and the padding replicates
 edges, so the features reject any constant offset of the log-mel
-spectrogram (e.g. per-utterance gain).
+spectrogram. A gain g shifts log-mel by ln g only where no entry sits at
+the floor ln(FrameParams().log_floor): on such input the features do not
+depend on level, up to rounding. Entries at the floor stay there, so an
+input with digital silence or a tail decayed below the floor gives
+features that change with its gain.
 """
 
 from __future__ import annotations
@@ -251,16 +257,17 @@ def extract_features(spec: FrameMatrix, bank: GaborFilterbank) -> FrameMatrix:
         raise ValueError(f"spectrogram has {values.shape[1]} channels, filterbank expects {bank.n_mels}")
     n_frames, pad = values.shape[0], bank.pad
     # Correlation through one FFT length: no wrap-around reaches the n_frames
-    # outputs as long as n_fft covers the padded input.
+    # outputs as long as n_fft covers the padded input. The transforms run
+    # along the last, contiguous axis: channels x frames.
     n_fft = _fast_len(n_frames + 2 * pad)
-    spectrum = np.fft.rfft(np.pad(values, ((pad, pad), (0, 0)), mode="edge"), n_fft, axis=0)
+    spectrum = np.fft.rfft(np.pad(values.T, ((0, 0), (pad, pad)), mode="edge"), n_fft)
     out = np.empty((n_frames, bank.feature_dim))
 
     def apply(group):
-        kernel_spectra = np.fft.rfft(group.taps, n_fft, axis=1).conj().T
-        product = (spectrum[:, None, :] * kernel_spectra[:, :, None]).reshape(len(spectrum), -1)
-        filtered = np.fft.irfft(product, n_fft, axis=0)[:n_frames]
-        out[:, group.columns] = filtered @ group.mel_weights
+        kernel_spectra = np.fft.rfft(group.taps, n_fft).conj()
+        product = (spectrum * kernel_spectra[:, None, :]).reshape(-1, spectrum.shape[1])
+        filtered = np.ascontiguousarray(np.fft.irfft(product, n_fft)[:, :n_frames].T)
+        np.matmul(filtered, group.mel_weights, out=out[:, group.columns])
 
     parallel.split(apply, bank.groups, n_frames)
     return FrameMatrix(out)

@@ -16,14 +16,15 @@ the normalizer upcasts them exactly, so the math and every result stay
 float64.
 
 Rows are processed in blocks of at most BLOCK_ROWS (1,024), so float64
-temporaries stay cache-sized whatever the input length. `forward` splits
-longer inputs into near-equal blocks; `fit_normalizer` streams its column
-sums through one (BLOCK_ROWS + 1, D) float64 buffer. Both give the same
-bits as one pass over all rows. `train` reads the caller's per-utterance
-float32 matrices in place, never a stacked copy of the set. Every read
-gathers rows into a reused buffer: SGD its shuffled rows in windows of
-whole batches, about 8,192 rows each, the metrics pass its 8,192-row
-chunks, and the normalizer its 1,024-row blocks.
+temporaries stay cache-sized whatever the input length. `forward` runs
+the near-equal ``parallel.row_blocks`` of its input; `fit_normalizer`
+streams its column sums through one (BLOCK_ROWS + 1, D) float64 buffer.
+Both give the same bits as one pass over all rows. `train` reads the
+caller's per-utterance float32 matrices in place, never a stacked copy of
+the set. Every read copies rows into a reused buffer: SGD gathers its
+shuffled rows in windows of whole batches, about 8,192 rows each; the
+metrics pass copies its 8,192-row chunks and the normalizer its 1,024-row
+blocks as slices.
 
 `forward` shares its row blocks with a helper thread, and each `train`
 step runs one epoch's SGD beside the previous epoch's metrics pass, both
@@ -134,8 +135,19 @@ class _Rows:
         return int(self.offsets[-1])
 
     def take(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Rows ``rows`` (distinct), in that order, into ``out[:len(rows)]``:
-        one fancy index per matrix, in ascending row order within it."""
+        """Rows ``rows`` (distinct), in that order, into ``out[:len(rows)]``.
+        A run of consecutive rows, as the metrics pass and the normalizer
+        ask for, is copied as one slice per matrix; other requests take one
+        fancy index per matrix, in ascending row order within it."""
+        if len(rows) and (np.diff(rows) == 1).all():
+            start, stop = int(rows[0]), int(rows[-1]) + 1
+            first = int(np.searchsorted(self.offsets, start, side="right")) - 1
+            for i in range(first, len(self.mats)):
+                lo, hi = max(start, self.offsets[i]), min(stop, self.offsets[i + 1])
+                if lo >= stop:
+                    break
+                out[lo - start : hi - start] = self.mats[i][lo - self.offsets[i] : hi - self.offsets[i]]
+            return out[: len(rows)]
         order = np.argsort(rows)
         ascending = rows[order]
         bounds = np.searchsorted(ascending, self.offsets)
@@ -227,7 +239,8 @@ def forward(model: MlpModel, features: np.ndarray) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != model.d:
         raise ValueError(f"features of shape {x.shape}, model input needs (T, {model.d})")
     post = np.empty((len(x), model.c))
-    parallel.split(lambda block: _forward_parts(model, *block), row_blocks(x, post), len(x))
+    blocks = row_blocks(x, post, width=min(model.h, model.c))
+    parallel.split(lambda block: _forward_parts(model, *block), blocks, len(x))
     return post
 
 

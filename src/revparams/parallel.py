@@ -5,13 +5,15 @@ and the process may use two or more CPUs. Two callers of a multi-threaded
 BLAS oversubscribe the cores and run slower than one. It is evaluated once
 per process.
 
-- ``row_blocks`` cuts an input into near-equal blocks of at most
-  BLOCK_ROWS (1,024) rows, the unit of the log-mel and MLP stages.
+- ``row_blocks`` cuts an input into near-equal blocks, the unit of the
+  log-mel and MLP stages: blocks of at most BLOCK_ROWS (1,024) rows, and at
+  least two from SPLIT_ROWS (202) rows, two blocks of more than 100 rows
+  (more for a matmul of fewer than 12 output columns).
 - ``split`` runs the independent parts of one stage on the calling thread
   and one helper thread: the log-mel row blocks, the Gabor groups, the MLP
   row blocks, and each ``train`` step (one epoch's SGD beside the previous
   epoch's metrics pass). It splits only two or more parts, only on the
-  main thread, for inputs of more than BLOCK_ROWS frames, and when
+  main thread, for inputs of SPLIT_ROWS rows or more, and when
   ``two_cores()`` holds; otherwise it is a plain loop. ``--jobs`` workers
   and the helper itself never split, so no pool is ever nested.
 - ``map_items`` runs one function over the items of ``--jobs`` commands.
@@ -36,6 +38,14 @@ from functools import lru_cache
 import numpy as np
 
 BLOCK_ROWS = 1024
+# With OpenBLAS on one thread a matmul row gets the bits of one pass over all
+# rows in any block of at least MIN_BLOCK_ROWS rows whose product has more
+# than _SMALL_MATMUL entries (rows x output columns): OpenBLAS may run a
+# smaller product through a small-matrix kernel that rounds otherwise.
+# Inputs of SPLIT_ROWS rows make two such blocks.
+_SMALL_MATMUL = 1200
+MIN_BLOCK_ROWS = 101
+SPLIT_ROWS = 2 * MIN_BLOCK_ROWS
 
 # The thread-count getters of OpenBLAS builds, plain and with the prefixed,
 # 64-bit-index names of the build that numpy wheels bundle.
@@ -66,35 +76,35 @@ def two_cores() -> bool:
     return cpus >= 2 and _blas_threads() == 1
 
 
-def row_blocks(*arrays):
+def row_blocks(*arrays, width: int):
     """Zip of matching near-equal row blocks of ``arrays``, which share a
-    row count T: one block when T <= BLOCK_ROWS, else ceil(T / BLOCK_ROWS)
-    blocks of at least BLOCK_ROWS // 2 rows each.
-
-    With OpenBLAS on one thread a matmul row does not depend on the other
-    rows of a block of more than 100 rows, so blocked matmuls give the
-    bits of one pass over all rows. A fixed BLOCK_ROWS stride would leave
-    a short last block, which can differ in the last bits.
+    row count T, for a stage whose narrowest matmul has ``width`` >= 2
+    output columns. Each block has at least MIN_BLOCK_ROWS rows, or more
+    below 12 columns, so that each row keeps its one-pass bits; within
+    that, T >= SPLIT_ROWS rows make at least two blocks, and blocks have at
+    most BLOCK_ROWS rows. A fixed stride would leave a short last block.
     """
-    n_blocks = max(1, -(-len(arrays[0]) // BLOCK_ROWS))
+    n_rows, min_rows = len(arrays[0]), max(MIN_BLOCK_ROWS, _SMALL_MATMUL // width + 1)
+    n_blocks = max(1, min(n_rows // min_rows, max(2, -(-n_rows // BLOCK_ROWS))))
     return zip(*(np.array_split(a, n_blocks) for a in arrays))
 
 
 def split(fn, items, n_rows: int) -> None:
     """``for item in items: fn(item)``, with the caller running the first
     half of ``items`` and one helper thread the second half, when there are
-    two or more items, the input has more than BLOCK_ROWS rows, the caller
-    is the main thread and ``two_cores()`` holds; otherwise a plain loop on
+    two or more items, the input has SPLIT_ROWS rows or more, the caller is
+    the main thread and ``two_cores()`` holds; otherwise a plain loop on
     the caller.
 
     Each ``fn(item)`` must write only its own part of the result. The
-    helper runs in a copy of the caller's context (numpy's error state
+    helper is a bare thread started per call, which costs less than a pool.
+    It runs in a copy of the caller's context (numpy's error state
     included), an exception in either half reaches the caller, and
     ``split`` returns or raises only after the helper has finished.
     """
     items = list(items)
     main = threading.current_thread() is threading.main_thread()
-    if len(items) < 2 or n_rows <= BLOCK_ROWS or not main or not two_cores():
+    if len(items) < 2 or n_rows < SPLIT_ROWS or not main or not two_cores():
         for item in items:
             fn(item)
         return
@@ -104,10 +114,22 @@ def split(fn, items, n_rows: int) -> None:
             fn(item)
 
     half = (len(items) + 1) // 2
-    with futures.ThreadPoolExecutor(1, thread_name_prefix="revparams-split") as helper:
-        second = helper.submit(contextvars.copy_context().run, run, items[half:])
+    failed = []
+
+    def second():
+        try:
+            run(items[half:])
+        except BaseException as exc:
+            failed.append(exc)
+
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(second,), name="revparams-split")
+    helper.start()
+    try:
         run(items[:half])
-        second.result()
+    finally:
+        helper.join()
+    if failed:
+        raise failed[0]
 
 
 def map_items(fn, items, jobs: int) -> list:

@@ -63,9 +63,10 @@ class TestFraming:
 
     def test_log_mel_matches_gathered_frames(self):
         """The row-blocked log-mel against one pass over all frames, at
-        tolerance 0. Up to 1,024 frames are one block; 1,025 split into
-        513 + 512, 6,073 into 6 near-equal blocks."""
-        for n_frames in (148, 998, 1_024, 1_025, 1_039, 2_049, 6_073):
+        tolerance 0. Up to 201 frames are one block; 202 split into
+        101 + 101, 1,024 into 512 + 512, 1,025 into 513 + 512, 6,073 into 6
+        near-equal blocks."""
+        for n_frames in (148, 201, 202, 203, 511, 998, 1_024, 1_025, 1_039, 2_049, 6_073):
             n = PARAMS.frame_len + PARAMS.hop * (n_frames - 1)
             audio = AudioBuffer(0.1 * np.random.default_rng(n_frames).standard_normal(n))
             frames = reference_frame_signal(audio.samples, PARAMS) * hann_periodic(400)[None, :]

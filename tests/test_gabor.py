@@ -1,20 +1,29 @@
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.signal import correlate
 
-from revparams.frontend import FrameMatrix
+from revparams import parallel
+from revparams.acoustics import synth_rir
+from revparams.audio_io import AudioBuffer
+from revparams.corpus import convolve, make_speech_like
+from revparams.estimator import estimate_from_posteriors, frame_posteriors
+from revparams.frontend import FrameMatrix, FrameParams, log_mel_spectrogram
 from revparams.gabor import (
     GaborFilterSpec,
+    _fast_len,
     build_diagonal_filterbank,
     export_filterbank,
     extract_features,
     hann_product_envelope,
     make_gabor_filter,
 )
+from revparams.mlp import load_model
 
 BANK = build_diagonal_filterbank()
+MODEL_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "model" / "estimate.rvpm"
 
 
 def spectro(values):
@@ -60,6 +69,23 @@ def reference_features(values, bank):
         response = correlate(padded, kernel, mode="valid", method="auto")
         columns.append(response[:, list(filt.representative_channels)])
     return np.concatenate(columns, axis=1)
+
+
+def frame_axis_features(values, bank):
+    """The bank's operator with every transform along axis 0 of the
+    frames x channels spectrogram and a C-contiguous (frames, r x n_mels)
+    matrix into each group's mel weights: a tolerance-0 oracle for
+    ``extract_features``, which transforms channels x frames along its
+    contiguous axis."""
+    n_frames, pad = values.shape[0], bank.pad
+    n_fft = _fast_len(n_frames + 2 * pad)
+    spectrum = np.fft.rfft(np.pad(values, ((pad, pad), (0, 0)), mode="edge"), n_fft, axis=0)
+    out = np.empty((n_frames, bank.feature_dim))
+    for group in bank.groups:
+        kernel_spectra = np.fft.rfft(group.taps, n_fft, axis=1).conj().T
+        product = (spectrum[:, None, :] * kernel_spectra[:, :, None]).reshape(len(spectrum), -1)
+        out[:, group.columns] = np.fft.irfft(product, n_fft, axis=0)[:n_frames] @ group.mel_weights
+    return out
 
 
 class TestEnvelope:
@@ -220,6 +246,50 @@ class TestExtractFeatures:
     def test_channel_mismatch_raises(self):
         with pytest.raises(ValueError, match="channels"):
             extract_features(spectro(np.zeros((5, 20))), BANK)
+
+    @pytest.mark.parametrize("gate", [False, True], ids=["serial", "split"])
+    def test_matches_frame_axis_oracle_bit_for_bit(self, gate, monkeypatch, rng):
+        monkeypatch.setattr(parallel, "two_cores", lambda: gate)
+        for n_frames in [*range(1, 65), 202, 1_024, 1_025, 6_073]:
+            values = 10.0 * rng.standard_normal((n_frames, 26)) - 20.0
+            fast = extract_features(spectro(values), BANK).values
+            assert np.array_equal(fast, frame_axis_features(values, BANK)), n_frames
+
+
+class TestLevelInvariance:
+    """Metamorphic checks on reverberant speech with white noise at 1e-3, so
+    that no log-mel entry sits at the floor: gain leaves the features and
+    the decision alone, and a shift by whole hops shifts the log-mel rows."""
+
+    LOG_FLOOR = np.log(FrameParams().log_floor)
+
+    @pytest.fixture(scope="class")
+    def audio(self):
+        speech = convolve(make_speech_like(3.0, seed=7), synth_rir(0.45, 4.5, 0.5, seed=3)).samples
+        speech = 0.5 * speech / np.abs(speech).max()
+        return speech + 1e-3 * np.random.default_rng(8).standard_normal(len(speech))
+
+    def test_no_entry_at_the_floor(self, audio):
+        assert (log_mel_spectrogram(AudioBuffer(audio)).values > self.LOG_FLOOR).all()
+
+    def test_gain_moves_no_feature_and_no_decision(self, audio):
+        model = load_model(MODEL_PATH)
+        feats = extract_features(log_mel_spectrogram(AudioBuffer(audio)), BANK).values
+        decided = estimate_from_posteriors(frame_posteriors(AudioBuffer(audio), model)[0], model).class_id
+        for k in range(-8, 9):
+            scaled = AudioBuffer(audio * 2.0**k)
+            assert (log_mel_spectrogram(scaled).values > self.LOG_FLOOR).all(), k
+            moved = np.abs(extract_features(log_mel_spectrogram(scaled), BANK).values - feats).max()
+            assert moved <= 1e-12, (k, moved)
+            assert estimate_from_posteriors(frame_posteriors(scaled, model)[0], model).class_id == decided, k
+
+    @pytest.mark.parametrize("hops", [1, 7, 100])
+    def test_whole_hop_shift_shifts_the_log_mel_rows(self, audio, hops):
+        spec = log_mel_spectrogram(AudioBuffer(audio)).values
+        cut = hops * FrameParams().hop
+        later = np.concatenate([1e-3 * np.random.default_rng(hops).standard_normal(cut), audio])
+        assert np.array_equal(log_mel_spectrogram(AudioBuffer(later)).values[hops:], spec)
+        assert np.array_equal(log_mel_spectrogram(AudioBuffer(audio[cut:])).values, spec[hops:])
 
 
 def test_export_filterbank(tmp_path):

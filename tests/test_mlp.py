@@ -220,8 +220,8 @@ def metrics_threads_alive():
 
 
 def split_dataset(rng):
-    """``blob_dataset`` with 1,100 training frames: more than BLOCK_ROWS,
-    so ``train``'s steps reach the split helper when the gate holds."""
+    """``blob_dataset`` with 1,100 training frames: SPLIT_ROWS or more, so
+    ``train``'s steps reach the split helper when the gate holds."""
     return blob_dataset(rng, frames_per_class=600)[0]
 
 
@@ -242,17 +242,17 @@ class TestBitExactHotPath:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_forward_matches_reference(self, dtype, rng):
-        """``forward`` splits inputs of more than 1,024 rows into near-equal
-        blocks (1,025 rows: 513 + 512; 2,049: 3 x 683; 8,197: 7 x 911 +
-        2 x 910); the reference runs all rows at once.
+        """``forward`` splits inputs of 202 rows or more into near-equal
+        blocks (202 rows: 2 x 101; 1,025: 513 + 512; 2,049: 3 x 683;
+        8,197: 7 x 911 + 2 x 910); the reference runs all rows at once.
 
         Equality rests on the BLAS computing each matmul row independently
         of the other rows once a block has more than 100 rows (a split
-        block has at least 512). This test guards that assumption for the
+        block has at least 101). This test guards that assumption for the
         installed BLAS, at tolerance 0.
         """
         model = seeded_model()
-        for n_rows in (1_025, 2_049, 6_100, 8_197):
+        for n_rows in (201, 202, 203, 511, 1_024, 1_025, 2_049, 6_100, 8_197):
             x = (3.0 * rng.standard_normal((n_rows, model.d))).astype(dtype)
             assert np.array_equal(forward(model, x), reference_forward_parts(model, x)[2]), n_rows
 
@@ -318,6 +318,27 @@ class TestBitExactHotPath:
         np.testing.assert_equal(history, ref_history)  # exact; NaN equals NaN
         for key, value in best.items():
             assert np.array_equal(getattr(model, key), value), key
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_take_matches_the_stacked_rows(self, dtype, rng):
+        """``_Rows.take`` against indexing one stacked copy, tolerance 0:
+        runs of consecutive rows within one matrix, across matrices and
+        over empty ones, gapped and descending runs, and shuffled rows."""
+        mats = [rng.standard_normal((n, 6)).astype(np.float32) for n in (0, 5, 1, 0, 130, 7, 1_001, 0, 64)]
+        rows = mlp._Rows(mats, None)
+        stacked = np.concatenate(mats)
+        n = len(stacked)
+        runs = [(0, 1), (0, 5), (2, 6), (5, 6), (3, 150), (140, 1_200), (n - 1, n), (0, n)]
+        requests = [np.arange(start, stop) for start, stop in runs]
+        requests += [np.arange(3, 1_000, 7), np.arange(150, 6, -1)]
+        requests += [rng.permutation(n)[:k] for k in (1, 2, 300, n)]
+        for request in requests:
+            out = np.full((n + 3, 6), np.nan, dtype=dtype)
+            taken = rows.take(request, out)
+            assert np.shares_memory(taken, out) and taken.shape == (len(request), 6)
+            assert np.array_equal(taken, stacked[request]), request
+            assert np.isnan(out[len(request) :]).all()
 
 
 class TestNormalizer:
@@ -580,11 +601,13 @@ class TestMetricsThread:
         assert metrics_threads_alive() == []
 
     def test_small_training_set_runs_inline(self, monkeypatch, rng):
-        """900 training frames, at most BLOCK_ROWS: no step splits, even
+        """200 training frames, fewer than SPLIT_ROWS: no step splits, even
         with the gate on."""
         monkeypatch.setattr(parallel, "two_cores", lambda: True)
         ran_on = self.spy_threads(monkeypatch)
-        train(blob_dataset(rng)[0], self.CFG, ClassGrid(), VOCAB2)
+        data = blob_dataset(rng, frames_per_class=100)[0]
+        assert sum(len(x) for x, _ in data) == 200 < parallel.SPLIT_ROWS
+        train(data, self.CFG, ClassGrid(), VOCAB2)
         assert [thread for thread, _ in ran_on] == [threading.main_thread()] * self.CFG.epochs
 
     def test_metrics_pass_sees_the_callers_numpy_error_state(self, monkeypatch, rng):

@@ -10,7 +10,6 @@ import shutil
 import subprocess
 import sys
 import threading
-from concurrent import futures
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,7 @@ from revparams.frontend import FrameMatrix, FrameParams, log_mel_spectrogram
 from revparams.gabor import GaborFilterbank, extract_features
 from revparams.grid import ClassVocabulary
 from revparams.mlp import forward, save_model
-from revparams.parallel import BLOCK_ROWS, split
+from revparams.parallel import BLOCK_ROWS, SPLIT_ROWS, split
 
 SRC = str(Path(parallel.__file__).resolve().parents[1])
 HELPER = "revparams-split"
@@ -62,17 +61,17 @@ def threads_that_ran(monkeypatch):
 
 
 @pytest.fixture
-def executors(monkeypatch):
-    """The arguments of every ThreadPoolExecutor created while the test runs."""
+def threads_created(monkeypatch):
+    """Every threading.Thread created while the test runs."""
     created = []
-    real = futures.ThreadPoolExecutor
+    real = threading.Thread
 
     class Spy(real):
         def __init__(self, *args, **kwargs):
-            created.append((args, kwargs))
             super().__init__(*args, **kwargs)
+            created.append(self)
 
-    monkeypatch.setattr(futures, "ThreadPoolExecutor", Spy)
+    monkeypatch.setattr(threading, "Thread", Spy)
     return created
 
 
@@ -89,14 +88,26 @@ def audio_of(n_frames: int, rng) -> AudioBuffer:
 def caller_then_helper(n_items: int) -> list:
     """Thread names of a split run: the caller takes the first, larger half."""
     first = (n_items + 1) // 2
-    return ["MainThread"] * first + [f"{HELPER}_0"] * (n_items - first)
+    return ["MainThread"] * first + [HELPER] * (n_items - first)
+
+
+def expected_threads(n_items: int, n_rows: int) -> list:
+    """Thread names of a ``split`` call with the gate on: a plain loop below SPLIT_ROWS rows."""
+    return caller_then_helper(n_items) if n_rows >= SPLIT_ROWS else ["MainThread"] * n_items
+
+
+def n_row_blocks(n_rows: int) -> int:
+    """``row_blocks``' count for a product of 12 or more columns (log-mel's 26,
+    ``seeded_model``'s 168): at most BLOCK_ROWS rows each, two from SPLIT_ROWS rows."""
+    return 1 if n_rows < SPLIT_ROWS else max(2, -(-n_rows // BLOCK_ROWS))
 
 
 class TestSplitMatchesSerial:
     """Each stage with ``split`` forced on and off, tolerance 0."""
 
-    # 1,025 and 2,048 rows: 2 row blocks; 2,049: 3 (an odd split); 6,073: 6.
-    N_FRAMES = (1_025, 2_048, 2_049, 6_073)
+    # 201 rows: 1 block, no split; 202 (the least that splits) to 2,048: 2 row
+    # blocks, 202 and 203 of 101 rows and more; 2,049: 3 (an odd split); 6,073: 6.
+    N_FRAMES = (201, 202, 203, 256, 511, 1_024, 1_025, 2_048, 2_049, 6_073)
 
     @pytest.mark.parametrize("n_frames", N_FRAMES)
     def test_log_mel_spectrogram(self, n_frames, monkeypatch, threads_that_ran, rng):
@@ -106,8 +117,8 @@ class TestSplitMatchesSerial:
         assert serial.shape[0] == n_frames
         force_gate(monkeypatch, True)
         assert np.array_equal(log_mel_spectrogram(audio).values, serial)
-        n_blocks = -(-n_frames // BLOCK_ROWS)
-        assert threads_that_ran == [["MainThread"] * n_blocks, caller_then_helper(n_blocks)]
+        n_blocks = n_row_blocks(n_frames)
+        assert threads_that_ran == [["MainThread"] * n_blocks, expected_threads(n_blocks, n_frames)]
 
     @pytest.mark.parametrize("n_frames", N_FRAMES)
     def test_extract_features(self, n_frames, monkeypatch, threads_that_ran, rng):
@@ -118,7 +129,7 @@ class TestSplitMatchesSerial:
         force_gate(monkeypatch, True)
         split_out = extract_features(spec, bank).values
         assert np.array_equal(split_out, serial)
-        assert threads_that_ran == [["MainThread"] * 6, caller_then_helper(6)]
+        assert threads_that_ran == [["MainThread"] * 6, expected_threads(6, n_frames)]
 
     def test_extract_features_odd_group_count(self, monkeypatch, threads_that_ran, rng):
         bank = GaborFilterbank(filterbank().filters[:40], 26, 100.0)  # 5 temporal carriers: 5 groups
@@ -139,8 +150,8 @@ class TestSplitMatchesSerial:
         serial = forward(model, x)
         force_gate(monkeypatch, True)
         assert np.array_equal(forward(model, x), serial)
-        n_blocks = -(-n_frames // BLOCK_ROWS)
-        assert threads_that_ran == [["MainThread"] * n_blocks, caller_then_helper(n_blocks)]
+        n_blocks = n_row_blocks(n_frames)
+        assert threads_that_ran == [["MainThread"] * n_blocks, expected_threads(n_blocks, n_frames)]
 
     def test_frequent_thread_switches_keep_the_bits(self, monkeypatch, rng):
         """Both halves write into one output while the interpreter switches
@@ -199,23 +210,25 @@ class TestSplitRules:
         assert split_helpers_alive() == []
 
     @pytest.mark.parametrize(
-        "n_rows, gate", [(BLOCK_ROWS, True), (1, True), (N_ROWS, False)], ids=["block-rows", "one-row", "gate-off"]
+        "n_rows, gate",
+        [(SPLIT_ROWS - 1, True), (1, True), (N_ROWS, False)],
+        ids=["below-split-rows", "one-row", "gate-off"],
     )
-    def test_serial_starts_no_thread(self, n_rows, gate, monkeypatch, executors):
+    def test_serial_starts_no_thread(self, n_rows, gate, monkeypatch, threads_created):
         force_gate(monkeypatch, gate)
         ran = []
         split(lambda item: ran.append((item, threading.current_thread().name)), range(4), n_rows)
         assert ran == [(i, "MainThread") for i in range(4)]
-        assert executors == []
+        assert threads_created == []
 
-    def test_one_part_starts_no_thread(self, monkeypatch, executors):
+    def test_one_part_starts_no_thread(self, monkeypatch, threads_created):
         force_gate(monkeypatch, True)
         ran = []
         split(lambda item: ran.append((item, threading.current_thread().name)), ["only"], 5_000)
         assert ran == [("only", "MainThread")]
-        assert executors == []
+        assert threads_created == []
 
-    def test_off_the_main_thread_starts_no_thread(self, monkeypatch, executors):
+    def test_off_the_main_thread_starts_no_thread(self, monkeypatch, threads_created):
         force_gate(monkeypatch, True)
         ran = []
         worker = threading.Thread(
@@ -225,15 +238,40 @@ class TestSplitRules:
         worker.join(JOIN_TIMEOUT_S)
         assert not worker.is_alive()
         assert ran == [worker.name] * 4
-        assert executors == []
+        assert threads_created == [worker]  # the test's own worker only
 
-    def test_split_starts_one_helper(self, monkeypatch, executors):
+    def test_split_starts_one_helper(self, monkeypatch, threads_created):
         force_gate(monkeypatch, True)
         ran = {}
-        split(lambda item: ran.update({item: threading.current_thread().name}), range(4), BLOCK_ROWS + 1)
+        split(lambda item: ran.update({item: threading.current_thread().name}), range(4), SPLIT_ROWS)
         assert [ran[i] for i in range(4)] == caller_then_helper(4)
-        assert [args[0] for args, _ in executors] == [1]
+        assert [thread.name for thread in threads_created] == [HELPER]
         assert split_helpers_alive() == []
+
+    @pytest.mark.parametrize(
+        "n_rows, width, sizes",
+        [
+            (1, 26, [1]),
+            (SPLIT_ROWS - 1, 26, [201]),
+            (SPLIT_ROWS, 26, [101, 101]),
+            (203, 12, [102, 101]),
+            (2_048, 168, [1_024] * 2),
+            (2_049, 168, [683] * 3),
+            (401, 6, [401]),  # 201 rows x 6 columns: the least block above 1,200 entries
+            (402, 6, [201, 201]),
+            (1_201, 2, [1_201]),  # 601 rows or more: one block above BLOCK_ROWS
+            (2_049, 2, [683] * 3),
+        ],
+    )
+    def test_row_blocks(self, n_rows, width, sizes):
+        """Near-equal blocks of at most BLOCK_ROWS rows where each can keep
+        more than 100 rows and 1,200 entries of a ``width``-column product,
+        two from SPLIT_ROWS rows."""
+        x, y = np.arange(n_rows), np.arange(n_rows) + 0.5
+        blocks = list(parallel.row_blocks(x, y, width=width))
+        assert [len(bx) for bx, _ in blocks] == sizes
+        assert all(np.array_equal(bx + 0.5, by) for bx, by in blocks)
+        assert np.array_equal(np.concatenate([bx for bx, _ in blocks]), x)
 
     def test_helper_runs_in_the_callers_numpy_error_state(self, monkeypatch):
         force_gate(monkeypatch, True)
