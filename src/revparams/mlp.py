@@ -17,14 +17,13 @@ float64.
 
 Rows are processed in blocks of at most BLOCK_ROWS (1,024), so float64
 temporaries stay cache-sized whatever the input length. `forward` runs
-the near-equal ``parallel.row_blocks`` of its input; `fit_normalizer`
-streams its column sums through one (BLOCK_ROWS + 1, D) float64 buffer.
-Both give the same bits as one pass over all rows. `train` reads the
-caller's per-utterance float32 matrices in place, never a stacked copy of
-the set. Every read copies rows into a reused buffer: SGD gathers its
-shuffled rows in windows of whole batches, about 8,192 rows each; the
-metrics pass copies its 8,192-row chunks and the normalizer its 1,024-row
-blocks as slices.
+the near-equal ``parallel.row_blocks`` of its input, normalized into one
+reused float64 block buffer per thread; `fit_normalizer` streams its
+column sums through one (BLOCK_ROWS + 1, D) float64 buffer. Both give the
+same bits as one pass over all rows. `train` reads the caller's
+per-utterance float32 matrices in place, never a stacked copy of the set:
+SGD gathers each shuffled batch into one (batch_size, D) buffer, and the
+metrics pass takes `forward`'s row blocks straight into its block buffers.
 
 `forward` shares its row blocks with a helper thread, and each `train`
 step runs one epoch's SGD beside the previous epoch's metrics pass, both
@@ -65,8 +64,8 @@ class FeatureNormalizer:
     mean: np.ndarray
     inv_std: np.ndarray
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        out = np.subtract(x, self.mean, dtype=np.float64)
+    def apply(self, x: np.ndarray, out=None) -> np.ndarray:
+        out = np.subtract(x, self.mean, dtype=np.float64, out=out)
         out *= self.inv_std
         return out
 
@@ -135,10 +134,9 @@ class _Rows:
         return int(self.offsets[-1])
 
     def take(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Rows ``rows`` (distinct), in that order, into ``out[:len(rows)]``.
-        A run of consecutive rows, as the metrics pass and the normalizer
-        ask for, is copied as one slice per matrix; other requests take one
-        fancy index per matrix, in ascending row order within it."""
+        """Rows ``rows``, in that order, into ``out[:len(rows)]``. A run of
+        consecutive rows, as the metrics pass and the normalizer ask for,
+        is copied as one slice per matrix; other requests row by row."""
         if len(rows) and (np.diff(rows) == 1).all():
             start, stop = int(rows[0]), int(rows[-1]) + 1
             first = int(np.searchsorted(self.offsets, start, side="right")) - 1
@@ -148,12 +146,9 @@ class _Rows:
                     break
                 out[lo - start : hi - start] = self.mats[i][lo - self.offsets[i] : hi - self.offsets[i]]
             return out[: len(rows)]
-        order = np.argsort(rows)
-        ascending = rows[order]
-        bounds = np.searchsorted(ascending, self.offsets)
-        for i in np.flatnonzero(np.diff(bounds)):
-            picked = slice(bounds[i], bounds[i + 1])
-            out[order[picked]] = self.mats[i][ascending[picked] - self.offsets[i]]
+        which = np.searchsorted(self.offsets, rows, side="right") - 1  # past the empty matrices
+        for j, (i, r) in enumerate(zip(which.tolist(), (rows - self.offsets[which]).tolist())):
+            out[j] = self.mats[i][r]
         return out[: len(rows)]
 
 
@@ -217,30 +212,48 @@ def softmax(logits: np.ndarray, out=None) -> np.ndarray:
     return ex
 
 
-def _forward_parts(model: MlpModel, x: np.ndarray, out=None):
-    xn = model.normalizer.apply(x)
+def _forward_parts(model: MlpModel, xn: np.ndarray, out=None):
+    """Hidden activations and posteriors of normalized rows ``xn``."""
     a1 = xn @ model.w1.T
     a1 += model.b1
     z1 = sigmoid(a1)
     logits = z1 @ model.w2.T
     logits += model.b2
-    return xn, z1, softmax(logits, out=out)
+    return z1, softmax(logits, out=out)
+
+
+def _forward_blocks(model: MlpModel, x, post: np.ndarray, take=lambda block, buf: block) -> None:
+    """Posteriors into ``post`` of each of the ``row_blocks`` of ``x``, shared
+    with a helper thread as ``split`` decides. A block's rows ``take(block,
+    buf)`` are normalized into ``buf``, a float64 buffer of the first (largest)
+    block's size that each thread reuses: one allocation per thread, not per
+    block."""
+    blocks = list(row_blocks(x, post, width=min(model.h, model.c)))
+    free = []  # the buffers no thread holds; list.pop and append are atomic
+
+    def run(block):
+        try:
+            buf = free.pop()
+        except IndexError:
+            buf = np.empty((len(blocks[0][0]), model.d))
+        _forward_parts(model, model.normalizer.apply(take(block[0], buf), out=buf[: len(block[0])]), out=block[1])
+        free.append(buf)
+
+    parallel.split(run, blocks, len(post))
 
 
 def forward(model: MlpModel, features: np.ndarray) -> np.ndarray:
     """Class posteriors (T, C) of a batch of feature rows (T, D).
 
-    Runs the ``row_blocks`` of the input, each written into the one
-    (T, C) result, which equals one pass over all rows; tests/test_mlp.py
-    (``test_forward_matches_reference``) checks that bit for bit. The
-    blocks are shared with a helper thread as ``parallel.split`` decides.
+    Runs the ``row_blocks`` of the input, read as views, into the one (T, C)
+    result, which equals one pass over all rows; tests/test_mlp.py
+    (``test_forward_matches_reference``) checks that bit for bit.
     """
     x = np.asarray(features)
     if x.ndim != 2 or x.shape[1] != model.d:
         raise ValueError(f"features of shape {x.shape}, model input needs (T, {model.d})")
     post = np.empty((len(x), model.c))
-    blocks = row_blocks(x, post, width=min(model.h, model.c))
-    parallel.split(lambda block: _forward_parts(model, *block), blocks, len(x))
+    _forward_blocks(model, x, post)
     return post
 
 
@@ -261,14 +274,14 @@ def _checked_batch(model: MlpModel, features, labels) -> tuple:
 def cross_entropy(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> float:
     """Mean frame-level cross-entropy of a (T, D) batch."""
     x, labels = _checked_batch(model, features, labels)
-    buf = np.empty((min(_METRICS_CHUNK, len(x)), x.shape[1]), dtype=x.dtype)
-    return float(_batched_metrics(model, _Rows([x], labels), buf)[0])
+    return float(_batched_metrics(model, _Rows([x], labels))[0])
 
 
 def gradient(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> dict:
     """Exact gradients of mean (T, D) batch cross-entropy w.r.t. all parameters."""
     x, labels = _checked_batch(model, features, labels)
-    xn, z1, post = _forward_parts(model, x)
+    xn = model.normalizer.apply(x)
+    z1, post = _forward_parts(model, xn)
     n = x.shape[0]
     d_logits = post
     d_logits[np.arange(n), labels] -= 1.0
@@ -294,28 +307,30 @@ def _snap_f32(a: np.ndarray) -> np.ndarray:
         return a.astype(np.float32).astype(np.float64)
 
 
-_METRICS_CHUNK = 8192  # rows per forward call, which bounds the posteriors held at once
+_METRICS_CHUNK = 8192  # rows summed per posterior array, which bounds the posteriors held at once
 
 
-def _batched_metrics(model: MlpModel, rows: _Rows, buf: np.ndarray):
-    """Mean cross-entropy and accuracy of ``rows``, taken into ``buf`` in
-    chunks of at most _METRICS_CHUNK rows."""
+def _batched_metrics(model: MlpModel, rows: _Rows):
+    """Mean cross-entropy and accuracy of ``rows``, summed over chunks of
+    at most _METRICS_CHUNK rows. Each chunk runs ``forward``'s row blocks,
+    each block's rows taken into the buffer ``forward`` normalizes into."""
     total_nll = 0.0
     correct = 0
     for start in range(0, len(rows), _METRICS_CHUNK):
         stop = min(start + _METRICS_CHUNK, len(rows))
         yb = rows.y[start:stop]
-        post = forward(model, rows.take(np.arange(start, stop), buf))
+        post = np.empty((stop - start, model.c))
+        _forward_blocks(model, np.arange(start, stop), post, rows.take)
         picked = post[np.arange(len(yb)), yb]
         total_nll -= np.log(np.maximum(picked, 1e-300)).sum()
         correct += int((post.argmax(axis=1) == yb).sum())
     return total_nll / len(rows), correct / len(rows)
 
 
-def _epoch_metrics(model: MlpModel, train_rows: _Rows, val_rows: _Rows, buf: np.ndarray) -> dict:
+def _epoch_metrics(model: MlpModel, train_rows: _Rows, val_rows: _Rows) -> dict:
     """One epoch's history row without its epoch number."""
-    train_ce, train_acc = _batched_metrics(model, train_rows, buf)
-    val_ce, val_acc = _batched_metrics(model, val_rows, buf) if len(val_rows) else (float("nan"), float("nan"))
+    train_ce, train_acc = _batched_metrics(model, train_rows)
+    val_ce, val_acc = _batched_metrics(model, val_rows) if len(val_rows) else (float("nan"), float("nan"))
     return {"train_ce": train_ce, "train_acc": train_acc, "val_ce": val_ce, "val_acc": val_acc}
 
 
@@ -339,10 +354,10 @@ def train(
     model carries as class constants.
 
     The matrices are read in place (float32 C-contiguous ones are not
-    copied, others are converted once each). Every SGD window, metrics
-    chunk and normalizer block is gathered into a reused buffer holding
-    the rows, in the order, that one stacked copy would give, so the bits
-    are those of training on a stacked copy.
+    copied, others are converted once each). Each SGD batch, metrics row
+    block and normalizer block is gathered into a batch- or block-sized
+    buffer holding the rows, in the order, that one stacked copy would
+    give, so the bits are those of training on a stacked copy.
 
     Each step is one ``parallel.split`` over two parts: the caller runs
     the next epoch's SGD and the helper thread the metrics pass of a copy
@@ -385,9 +400,6 @@ def train(
     train_rows, val_rows = (
         _Rows([mats[i] for i in idx], np.repeat(labels[idx], lengths[idx])) for idx in (train_idx, val_idx)
     )
-    # One metrics chunk buffer for both splits: one metrics pass runs at a time.
-    chunk_buf = np.empty((min(_METRICS_CHUNK, max(len(train_rows), len(val_rows))), dim), dtype=np.float32)
-
     normalizer = _fit_normalizer(train_rows)
     model = MlpModel(
         w1=glorot_init(rng, config.hidden_units, dim),
@@ -401,22 +413,17 @@ def train(
 
     velocity = {k: np.zeros_like(getattr(model, k)) for k in _WEIGHTS}
 
-    # Each window of the permutation is gathered once; its batches are slices.
-    window = config.batch_size * max(1, _METRICS_CHUNK // config.batch_size)
-    window_buf = np.empty((min(window, len(train_rows)), dim), dtype=np.float32)
+    batch_buf = np.empty((min(config.batch_size, len(train_rows)), dim), dtype=np.float32)
 
     def sgd_epoch():
         perm = rng.permutation(len(train_rows))
-        for first in range(0, len(perm), window):
-            rows = perm[first : first + window]
-            x, y = train_rows.take(rows, window_buf), train_rows.y[rows]
-            for start in range(0, len(rows), config.batch_size):
-                batch = slice(start, start + config.batch_size)
-                grads = gradient(model, x[batch], y[batch])
-                for key, g in grads.items():
-                    velocity[key] *= config.momentum
-                    velocity[key] += g
-                    getattr(model, key)[...] -= config.learning_rate * velocity[key]
+        for start in range(0, len(perm), config.batch_size):
+            rows = perm[start : start + config.batch_size]
+            grads = gradient(model, train_rows.take(rows, batch_buf), train_rows.y[rows])
+            for key, g in grads.items():
+                velocity[key] *= config.momentum
+                velocity[key] += g
+                getattr(model, key)[...] -= config.learning_rate * velocity[key]
 
     best, best_score = None, np.inf
     history = []
@@ -426,7 +433,7 @@ def train(
         row = {"epoch": epoch}
 
         def metrics_pass():
-            row.update(_epoch_metrics(scored, train_rows, val_rows, chunk_buf))
+            row.update(_epoch_metrics(scored, train_rows, val_rows))
 
         # this epoch's metrics pass beside the next epoch's SGD, which the caller runs
         parts = [sgd_epoch] * (epoch + 1 < config.epochs) + [metrics_pass]

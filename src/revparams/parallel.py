@@ -78,14 +78,15 @@ def two_cores() -> bool:
 
 def row_blocks(*arrays, width: int):
     """Zip of matching near-equal row blocks of ``arrays``, which share a
-    row count T, for a stage whose narrowest matmul has ``width`` >= 2
-    output columns. Each block has at least MIN_BLOCK_ROWS rows, or more
-    below 12 columns, so that each row keeps its one-pass bits; within
-    that, T >= SPLIT_ROWS rows make at least two blocks, and blocks have at
-    most BLOCK_ROWS rows. A fixed stride would leave a short last block.
+    row count T, for a stage whose narrowest matmul has ``width`` output
+    columns: one block for one column, whose matrix-vector product rounds
+    by row count; else blocks of at least MIN_BLOCK_ROWS rows, or more
+    below 12 columns, so that each row keeps its one-pass bits, at least
+    two from T >= SPLIT_ROWS rows and at most BLOCK_ROWS rows each. A
+    fixed stride would leave a short last block.
     """
     n_rows, min_rows = len(arrays[0]), max(MIN_BLOCK_ROWS, _SMALL_MATMUL // width + 1)
-    n_blocks = max(1, min(n_rows // min_rows, max(2, -(-n_rows // BLOCK_ROWS))))
+    n_blocks = 1 if width < 2 else max(1, min(n_rows // min_rows, max(2, -(-n_rows // BLOCK_ROWS))))
     return zip(*(np.array_split(a, n_blocks) for a in arrays))
 
 

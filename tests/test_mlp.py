@@ -150,11 +150,23 @@ def reference_train(dataset, config, n_classes):
     return best, history
 
 
+def stacked_metrics(model, x, y):
+    """The metrics pass on one stacked copy: ``forward`` on each
+    ``_METRICS_CHUNK``-row chunk, NLL and hits summed chunk by chunk."""
+    total_nll, correct = 0.0, 0
+    for start in range(0, len(x), mlp._METRICS_CHUNK):
+        yb = y[start : start + mlp._METRICS_CHUNK]
+        post = forward(model, x[start : start + mlp._METRICS_CHUNK])
+        total_nll -= np.log(np.maximum(post[np.arange(len(yb)), yb], 1e-300)).sum()
+        correct += int((post.argmax(axis=1) == yb).sum())
+    return total_nll / len(x), correct / len(x)
+
+
 def stacked_train(dataset, config, vocabulary):
     """The stacked path that ``train``'s in-place row views replace: one
     float32 copy of the training and validation rows each, batches
-    gathered with ``x_train[idx]`` and metrics in ``_METRICS_CHUNK``-row
-    forward calls, serially. Only SGD draws from ``rng``, so the serial
+    gathered with ``x_train[idx]`` and metrics by ``stacked_metrics``,
+    serially. Only SGD draws from ``rng``, so the serial
     order gives the values of the split one."""
     mats = [np.asarray(f, dtype=np.float32) for f, _ in dataset]
     labels = [c for _, c in dataset]
@@ -169,15 +181,6 @@ def stacked_train(dataset, config, vocabulary):
         xs = np.concatenate([mats[i] for i in indices], axis=0)
         ys = np.concatenate([np.full(len(mats[i]), labels[i], dtype=np.intp) for i in indices])
         return xs, ys
-
-    def chunked_metrics(model, x, y):
-        total_nll, correct = 0.0, 0
-        for start in range(0, len(x), mlp._METRICS_CHUNK):
-            yb = y[start : start + mlp._METRICS_CHUNK]
-            post = forward(model, x[start : start + mlp._METRICS_CHUNK])
-            total_nll -= np.log(np.maximum(post[np.arange(len(yb)), yb], 1e-300)).sum()
-            correct += int((post.argmax(axis=1) == yb).sum())
-        return total_nll / len(x), correct / len(x)
 
     x_train, y_train = stack(order[n_val:])
     x_val, y_val = stack(order[:n_val])
@@ -195,8 +198,8 @@ def stacked_train(dataset, config, vocabulary):
                 velocity[key] *= config.momentum
                 velocity[key] += g
                 getattr(model, key)[...] -= config.learning_rate * velocity[key]
-        train_ce, train_acc = chunked_metrics(model, x_train, y_train)
-        val_ce, val_acc = chunked_metrics(model, x_val, y_val) if n_val else (float("nan"), float("nan"))
+        train_ce, train_acc = stacked_metrics(model, x_train, y_train)
+        val_ce, val_acc = stacked_metrics(model, x_val, y_val) if n_val else (float("nan"), float("nan"))
         history.append(
             {"epoch": epoch, "train_ce": train_ce, "train_acc": train_acc, "val_ce": val_ce, "val_acc": val_acc}
         )
@@ -256,6 +259,20 @@ class TestBitExactHotPath:
             x = (3.0 * rng.standard_normal((n_rows, model.d))).astype(dtype)
             assert np.array_equal(forward(model, x), reference_forward_parts(model, x)[2]), n_rows
 
+    def test_forward_with_one_hidden_unit_matches_one_pass(self, rng):
+        """With one hidden unit the first matmul is a matrix-vector product
+        whose row bits depend on the row count, so ``forward`` runs it as
+        one block. At these row counts blocks of 1,201 rows or more gave
+        other bits in one or two rows. The unit is kept in its linear range
+        and the output weights are large, so that a last-bit change of the
+        unit reaches the posteriors. Tolerance 0."""
+        model = seeded_model(h=1, c=4)
+        model.w1 /= 15.0
+        model.w2 *= 40.0
+        for n_rows in (2_428, 2_506, 2_558, 2_571, 2_597, 2_649, 2_662, 7_205, 12_000):
+            x = 3.0 * rng.standard_normal((n_rows, model.d))
+            assert np.array_equal(forward(model, x), reference_forward_parts(model, x)[2]), n_rows
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_gradient_matches_reference(self, dtype, rng):
         model = seeded_model()
@@ -300,8 +317,9 @@ class TestBitExactHotPath:
     def test_train_matches_stacked_path(self, batch_size, metrics_thread, rng):
         """Weights and history at tolerance 0 against ``stacked_train``, on
         more than 8,192 training and validation rows each, in utterances of
-        0, 1 and odd row counts, so rows cross SGD windows (8,100, 8,192
-        and 9,000 rows) and metrics chunks. Gate forced on and off."""
+        0, 1 and odd row counts, so batches of 100, 256 and 9,000 rows and
+        the 8,192-row metrics chunks cross utterances. Gate forced on and
+        off."""
         n_classes, dim = 5, 12
         centers = 2.0 * rng.standard_normal((n_classes, dim))
         lengths = [0, *rng.choice([1, 1, 1, 3, 7, 61, 127, 255, 1_001], size=200)]
@@ -324,21 +342,43 @@ class TestBitExactHotPath:
     def test_take_matches_the_stacked_rows(self, dtype, rng):
         """``_Rows.take`` against indexing one stacked copy, tolerance 0:
         runs of consecutive rows within one matrix, across matrices and
-        over empty ones, gapped and descending runs, and shuffled rows."""
-        mats = [rng.standard_normal((n, 6)).astype(np.float32) for n in (0, 5, 1, 0, 130, 7, 1_001, 0, 64)]
-        rows = mlp._Rows(mats, None)
-        stacked = np.concatenate(mats)
-        n = len(stacked)
-        runs = [(0, 1), (0, 5), (2, 6), (5, 6), (3, 150), (140, 1_200), (n - 1, n), (0, n)]
-        requests = [np.arange(start, stop) for start, stop in runs]
-        requests += [np.arange(3, 1_000, 7), np.arange(150, 6, -1)]
-        requests += [rng.permutation(n)[:k] for k in (1, 2, 300, n)]
-        for request in requests:
-            out = np.full((n + 3, 6), np.nan, dtype=dtype)
-            taken = rows.take(request, out)
-            assert np.shares_memory(taken, out) and taken.shape == (len(request), 6)
-            assert np.array_equal(taken, stacked[request]), request
-            assert np.isnan(out[len(request) :]).all()
+        over empty ones, gapped and descending runs, shuffled rows, and a
+        shuffled batch inside one matrix, with empty matrices first and
+        last."""
+        for lengths in [(0, 5, 1, 0, 130, 7, 1_001, 0, 64), (0, 0, 3, 1_001, 0, 130, 0, 0)]:
+            mats = [rng.standard_normal((n, 6)).astype(np.float32) for n in lengths]
+            rows = mlp._Rows(mats, None)
+            stacked = np.concatenate(mats)
+            n = len(stacked)
+            inside = int(rows.offsets[lengths.index(1_001)]) + rng.permutation(1_001)[:256]
+            runs = [(0, 1), (0, 5), (2, 6), (5, 6), (3, 150), (140, 1_120), (n - 1, n), (0, n)]
+            requests = [np.arange(start, stop) for start, stop in runs]
+            requests += [np.arange(3, 1_000, 7), np.arange(150, 6, -1), inside, np.array([n - 1, 0])]
+            requests += [rng.permutation(n)[:k] for k in (1, 2, 300, n)]
+            for request in requests:
+                out = np.full((n + 3, 6), np.nan, dtype=dtype)
+                taken = rows.take(request, out)
+                assert np.shares_memory(taken, out) and taken.shape == (len(request), 6)
+                assert np.array_equal(taken, stacked[request]), (lengths, request)
+                assert np.isnan(out[len(request) :]).all()
+
+    @pytest.mark.parametrize("n_rows", [8_191, 8_192, 8_193, 8_242, 8_293])
+    def test_metrics_match_the_stacked_path(self, n_rows, metrics_thread, rng):
+        """``cross_entropy`` and the epoch metrics against ``stacked_metrics``
+        at tolerance 0, at row counts around one 8,192-row chunk (a last
+        chunk of 0, 1, 50 and 101 rows), the rows split into utterances of
+        0, 1 and odd row counts. Gate forced on and off."""
+        model = seeded_model(d=120, h=64, c=12)
+        x = (3.0 * rng.standard_normal((n_rows, model.d))).astype(np.float32)
+        y = rng.integers(0, model.c, n_rows)
+        assert cross_entropy(model, x, y) == stacked_metrics(model, x, y)[0]
+        cuts = np.sort(rng.choice(n_rows, 60, replace=False))
+        cuts = np.concatenate([[0, 0, 1, 2], cuts[(cuts > 2) & (cuts < n_rows - 1)], [n_rows, n_rows]])
+        mats = [x[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
+        val = x[: n_rows // 3].copy(), y[: n_rows // 3]
+        history = mlp._epoch_metrics(model, mlp._Rows(mats, y), mlp._Rows([val[0]], val[1]))
+        (train_ce, train_acc), (val_ce, val_acc) = stacked_metrics(model, x, y), stacked_metrics(model, *val)
+        assert history == {"train_ce": train_ce, "train_acc": train_acc, "val_ce": val_ce, "val_acc": val_acc}
 
 
 class TestNormalizer:
@@ -526,6 +566,38 @@ class TestTrain:
         finally:
             tracemalloc.stop()
         assert peak < 40_000 * 600 * 4
+
+    def test_working_set_is_one_batch_and_one_block_per_thread(self, metrics_thread, rng):
+        """10,800 training rows of D=600 at H=256, 2 epochs: the traced peak
+        above the start stays below the buffers ``train`` names, not the
+        8,192-row copies it once held (19.7 MB each at D=600).
+
+        Named, in float64 unless marked: per thread one forward block of
+        BLOCK_ROWS rows (the rows taken and normalized in place, and the
+        hidden pre-activation with sigmoid's two temporaries, 11.2 MB), two
+        threads when the last metrics pass splits; SGD's float32 batch and
+        four (H, D) gradient-step temporaries (5.5 MB), counted as running
+        beside both blocks; four (H, D) weight copies: the model, the
+        velocity, the copy being scored and the best (4.9 MB); and one
+        chunk of (8,192, C) posteriors (0.8 MB). That is 33.6 MB; the bound
+        adds a 25% margin for numpy's small temporaries.
+        """
+        d, h, c, batch = 600, 256, 12, 256
+        centers = rng.standard_normal((c, d), dtype=np.float32)
+        data = [(centers[i % c] + rng.standard_normal((100, d), dtype=np.float32), i % c) for i in range(120)]
+        vocab = ClassVocabulary(tuple((0, j) for j in range(c)))
+        cfg = TrainConfig(learning_rate=0.1, batch_size=batch, epochs=2, hidden_units=h, seed=1)
+        block = parallel.BLOCK_ROWS * (d + 3 * h) * 8
+        sgd = batch * d * 4 + 4 * h * d * 8
+        named = 2 * block + sgd + 4 * h * d * 8 + mlp._METRICS_CHUNK * c * 8
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            train(data, cfg, ClassGrid(), vocab)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * named, f"{peak / 1e6:.1f} MB above the start; named buffers {named / 1e6:.1f} MB"
 
     def test_zero_learning_rate_leaves_parameters_unchanged(self, rng):
         data, _, _ = blob_dataset(rng)

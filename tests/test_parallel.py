@@ -261,12 +261,13 @@ class TestSplitRules:
             (402, 6, [201, 201]),
             (1_201, 2, [1_201]),  # 601 rows or more: one block above BLOCK_ROWS
             (2_049, 2, [683] * 3),
+            (12_000, 1, [12_000]),  # a matrix-vector product: one block
         ],
     )
     def test_row_blocks(self, n_rows, width, sizes):
         """Near-equal blocks of at most BLOCK_ROWS rows where each can keep
         more than 100 rows and 1,200 entries of a ``width``-column product,
-        two from SPLIT_ROWS rows."""
+        two from SPLIT_ROWS rows; one block for one column."""
         x, y = np.arange(n_rows), np.arange(n_rows) + 0.5
         blocks = list(parallel.row_blocks(x, y, width=width))
         assert [len(bx) for bx, _ in blocks] == sizes
